@@ -18,8 +18,7 @@
  *   --full sweeps all 12 (6 for CC) configurations instead of the figure
  *   subset when searching for BEST.
  * Environment: GGA_SCALE in (0,1] scales the inputs down for quick runs;
- * GGA_SESSION_THREADS > 1 widens the executor (GGA_SWEEP_THREADS is the
- * deprecated alias).
+ * GGA_SESSION_THREADS > 1 widens the executor.
  */
 
 #include <cstring>

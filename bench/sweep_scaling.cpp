@@ -1,10 +1,10 @@
 /**
  * @file
  * Wall-clock scaling of the parallel sweepWorkload: sweep one workload's
- * full configuration space at increasing thread counts, verify every run
- * is bit-identical to the serial sweep, and report the speedup. The
- * per-config simulations are independent, so on a multi-core host the
- * fan-out is embarrassingly parallel up to the config count.
+ * full configuration space on Sessions of increasing executor width,
+ * verify every run is bit-identical to the serial sweep, and report the
+ * speedup. The per-config simulations are independent, so on a multi-core
+ * host the fan-out is embarrassingly parallel up to the config count.
  *
  * Usage: sweep_scaling [APP] [GRAPH] [scale] [max_threads]
  *   APP   in {PR, SSSP, MIS, CLR, BC, CC}      (default MIS)
@@ -43,9 +43,12 @@ sweepSeconds(const gga::Workload& wl,
              const std::vector<gga::SystemConfig>& configs,
              unsigned threads, gga::SweepResult& out)
 {
+    gga::SessionOptions opts;
+    opts.threads = threads;
+    opts.scale = gga::evaluationScale();
+    gga::Session session(opts);
     const auto start = std::chrono::steady_clock::now();
-    out = gga::sweepWorkload(wl, configs, gga::SimParams{},
-                             gga::SweepOptions{threads});
+    out = gga::sweepWorkload(session, wl, configs);
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
 }

@@ -20,14 +20,29 @@ AppRegistry::instance()
     return reg;
 }
 
-void
-AppRegistry::add(Entry entry)
+bool
+AppRegistry::Entry::validConfig(const SystemConfig& cfg) const
 {
-    GGA_ASSERT(entry.run && entry.runLegacy && entry.validConfig,
-               "incomplete registry entry for ", entry.name);
-    GGA_ASSERT(find(entry.id) == nullptr,
-               "duplicate registration for ", entry.name);
-    entries_.push_back(std::move(entry));
+    const bool dynamic = properties.traversal == TraversalKind::Dynamic;
+    return (cfg.prop == UpdateProp::PushPull) == dynamic;
+}
+
+void
+AppRegistry::add(AppId app, RunnerFn run)
+{
+    GGA_ASSERT(run, "no runner registered for ", appName(app));
+    GGA_ASSERT(find(app) == nullptr, "duplicate registration for ",
+               appName(app));
+    Entry e;
+    e.id = app;
+    e.name = appName(app);
+    e.properties = algoProperties(app);
+    e.configRequirement =
+        e.properties.traversal == TraversalKind::Dynamic
+            ? "has a dynamic traversal and requires PushPull"
+            : "has a static traversal and requires Push or Pull";
+    e.run = run;
+    entries_.push_back(std::move(e));
 }
 
 const AppRegistry::Entry*

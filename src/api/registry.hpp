@@ -3,18 +3,17 @@
  * AppRegistry: the queryable table of applications behind the Plan/Session
  * API.
  *
- * Each application translation unit (src/apps/<app>.cpp) self-registers a
- * complete entry — its typed runner, its legacy sink-based runner, its
- * AlgoProperties, and its valid-configuration predicate — via a
- * registerXxxApp hook. The registry replaces the hardcoded switch dispatch
- * and the fatal-on-invalid-config check that used to live in runWorkload
- * with a table that callers can enumerate, query, and extend.
+ * Each application translation unit (src/apps/<app>.cpp) registers its
+ * kernel driver via a registerXxxApp hook. Everything else about an entry
+ * — name, Table III properties, and which configurations it accepts — is
+ * derived from the AppId, so the push/pull validity rule is stated once
+ * (Entry::validConfig) instead of per app.
  */
 
 #ifndef GGA_API_REGISTRY_HPP
 #define GGA_API_REGISTRY_HPP
 
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,21 +31,16 @@ class AppRegistry
 {
   public:
     /**
-     * Typed runner: fills @p out (when non-null) with the app's output.
-     * The std::uint64_t is the run's RNG seed (see RunPlan::seed); apps
-     * without stochastic choices ignore it, and seed 0 must reproduce
-     * the paper runs exactly (the determinism goldens pin this).
+     * An app's kernel driver: simulates the app on the graph under the
+     * configuration and, when @p out is non-null, stores the app's typed
+     * output there. The std::uint64_t is the run's RNG seed (see
+     * RunPlan::seed); apps without stochastic choices ignore it, and seed
+     * 0 must reproduce the paper runs exactly (the determinism goldens pin
+     * this). Callers must pass a configuration validConfig accepts.
      */
-    using RunnerFn = std::function<RunResult(
-        const CsrGraph&, const SystemConfig&, const SimParams&,
-        std::uint64_t, AppOutput*)>;
-
-    /** Legacy runner with raw-pointer sinks (kept for parity shims). */
-    using LegacyRunnerFn = std::function<RunResult(
-        const CsrGraph&, const SystemConfig&, const SimParams&, AppOutputs*)>;
-
-    /** Is @p cfg's update-propagation dimension valid for this app? */
-    using ConfigPredicate = std::function<bool(const SystemConfig&)>;
+    using RunnerFn = RunResult (*)(const CsrGraph&, const SystemConfig&,
+                                   const SimParams&, std::uint64_t,
+                                   AppOutput*);
 
     /** One registered application. */
     struct Entry
@@ -54,25 +48,24 @@ class AppRegistry
         AppId id{};
         std::string name;              ///< short uppercase name ("PR", ...)
         AlgoProperties properties;     ///< paper Table III row
-        std::string configRequirement; ///< human-readable predicate summary
+        std::string configRequirement; ///< human-readable validConfig rule
+        RunnerFn run = nullptr;
+
         /**
-         * The app's default hardware point: the SimParams an evaluation
-         * work unit without an explicit params override runs under. All
-         * built-in apps register the paper's Table IV system; the field
-         * is the seam for per-app tuned presets (e.g. a wider relaxed-
-         * atomic window for atomic-heavy apps) without touching callers.
+         * Table III's rule: a static traversal runs Push or Pull, a
+         * dynamic traversal runs PushPull.
          */
-        SimParams params;
-        RunnerFn run;
-        LegacyRunnerFn runLegacy;
-        ConfigPredicate validConfig;
+        bool validConfig(const SystemConfig& cfg) const;
     };
 
     /** The process-wide registry with all built-in apps registered. */
     static const AppRegistry& instance();
 
-    /** Add an entry (later registrations of the same id are rejected). */
-    void add(Entry entry);
+    /**
+     * Register @p run as @p app's driver; the rest of the entry is derived
+     * from the AppId. Registering an id twice is fatal.
+     */
+    void add(AppId app, RunnerFn run);
 
     /** Entry for @p app, or nullptr if not registered. */
     const Entry* find(AppId app) const;
@@ -100,9 +93,9 @@ class AppRegistry
 };
 
 /**
- * Self-registration hooks, one per application translation unit. Each app
- * defines its own entry (runner adapters, properties, config predicate)
- * next to its kernels; the registry singleton invokes these once.
+ * Self-registration hooks, one per application translation unit: each
+ * adds its kernel driver, which stays private to the app's file. The
+ * registry singleton invokes these once.
  */
 void registerPrApp(AppRegistry& reg);
 void registerSsspApp(AppRegistry& reg);

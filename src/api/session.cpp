@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
@@ -7,26 +8,31 @@
 
 namespace gga {
 
+std::optional<unsigned>
+parseSessionThreads(std::string_view text)
+{
+    unsigned threads = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, threads);
+    if (ec != std::errc{} || ptr != end || threads == 0)
+        return std::nullopt;
+    return threads;
+}
+
 unsigned
 defaultSessionThreads()
 {
     static const unsigned threads = [] {
         const char* env = std::getenv("GGA_SESSION_THREADS");
-        if (!env) {
-            env = std::getenv("GGA_SWEEP_THREADS");
-            if (!env)
-                return 1u;
-            GGA_WARN("GGA_SWEEP_THREADS is deprecated; set "
-                     "GGA_SESSION_THREADS (or SessionOptions::threads) "
-                     "instead");
-        }
-        const long t = std::atol(env);
-        if (t < 1) {
+        if (!env)
+            return 1u;
+        const std::optional<unsigned> parsed = parseSessionThreads(env);
+        if (!parsed) {
             GGA_WARN("session thread count '", env,
                      "' is invalid; using 1");
             return 1u;
         }
-        return static_cast<unsigned>(t);
+        return *parsed;
     }();
     return threads;
 }

@@ -12,9 +12,8 @@
  *   out.result.cycles;      // timing
  *   out.pr()->ranks;        // typed functional output
  *
- * This replaces the legacy free-function entry points (runPr, runSssp,
- * ..., runWorkload) and their raw-pointer AppOutputs sinks; those remain
- * as thin deprecated shims for parity testing.
+ * Each app's kernel driver is its AppRegistry entry's runner; the Session
+ * checks every plan against the entry's validConfig before calling it.
  */
 
 #ifndef GGA_API_SESSION_HPP
@@ -212,10 +211,17 @@ struct SessionOptions
 std::string defaultGraphCacheDir();
 
 /**
- * GGA_SESSION_THREADS environment value; falls back to the deprecated
- * GGA_SWEEP_THREADS (with a one-time warning) and then to 1.
+ * GGA_SESSION_THREADS environment value, or 1 when unset. A value that is
+ * not a whole positive number fitting `unsigned` warns once and yields 1.
  */
 unsigned defaultSessionThreads();
+
+/**
+ * Parse a GGA_SESSION_THREADS value: the whole string must be a decimal
+ * number in [1, UINT_MAX]. nullopt for anything else (empty, trailing
+ * characters, zero, overflow).
+ */
+std::optional<unsigned> parseSessionThreads(std::string_view text);
 
 /** What Session::submit's future throws for a plan that fails validate(). */
 class PlanError : public std::runtime_error

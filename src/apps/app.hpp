@@ -1,14 +1,12 @@
 /**
  * @file
- * Shared application scaffolding: graph device buffers, run results, and
- * functional output sinks.
+ * Shared application scaffolding: graph device buffers and run results.
  */
 
 #ifndef GGA_APPS_APP_HPP
 #define GGA_APPS_APP_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/csr.hpp"
 #include "sim/address_space.hpp"
@@ -43,25 +41,6 @@ struct RunResult
 
 /** Collect a RunResult from a finished Gpu. */
 RunResult collectResult(Gpu& gpu);
-
-/**
- * Optional sinks for each application's functional output.
- *
- * DEPRECATED: the Plan/Session API (api/outputs.hpp) returns owned, typed
- * per-app outputs instead of this raw-pointer grab-bag. Kept for the
- * legacy runX shims and parity tests.
- */
-struct AppOutputs
-{
-    std::vector<float>* prRanks = nullptr;
-    std::vector<std::uint32_t>* ssspDist = nullptr;
-    std::vector<std::uint32_t>* misState = nullptr; ///< 1 in set, 2 out
-    std::vector<std::uint32_t>* colors = nullptr;
-    std::vector<double>* bcDelta = nullptr;
-    std::vector<std::uint32_t>* bcLevel = nullptr;
-    std::vector<double>* bcSigma = nullptr;
-    std::vector<std::uint32_t>* ccLabels = nullptr;
-};
 
 /** Iteration safety caps (deterministic termination with a warning). */
 inline constexpr std::uint32_t kMaxSweeps = 4096;

@@ -9,11 +9,8 @@
  * its neighbors drop out.
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
-#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace gga {
@@ -330,14 +327,10 @@ misOutPull(Warp& w, MisState& st)
         co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-       AppOutputs* out, std::uint64_t seed)
+       std::uint64_t seed, AppOutput* out)
 {
-    GGA_ASSERT(cfg.prop != UpdateProp::PushPull,
-               "MIS has a static traversal: use Push or Pull");
     Gpu gpu(params, cfg.coh, cfg.con);
     MisState st(gpu, g, seed);
     const VertexId n = g.numVertices();
@@ -368,27 +361,9 @@ runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
             break;
     }
 
-    if (out && out->misState)
-        *out->misState = st.state.host();
+    if (out)
+        *out = MisOutput{st.state.host()};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runMisTyped(const CsrGraph& g, const SystemConfig& cfg,
-            const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    if (!out)
-        return runMis(g, cfg, params, nullptr, seed);
-    MisOutput typed;
-    AppOutputs sinks;
-    sinks.misState = &typed.state;
-    const RunResult r = runMis(g, cfg, params, &sinks, seed);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -396,21 +371,7 @@ runMisTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerMisApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Mis;
-    e.name = appName(AppId::Mis);
-    e.properties = algoProperties(AppId::Mis);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a static traversal and requires Push or Pull";
-    e.run = &runMisTyped;
-    e.runLegacy = [](const CsrGraph& g, const SystemConfig& cfg,
-                     const SimParams& params, AppOutputs* out) {
-        return runMis(g, cfg, params, out);
-    };
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop != UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add(AppId::Mis, &runMis);
 }
 
 } // namespace gga

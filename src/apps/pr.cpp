@@ -9,11 +9,8 @@
  * (rank = (1-d)/N + d*next).
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
-#include "support/log.hpp"
 
 namespace gga {
 
@@ -176,14 +173,10 @@ prFinalize(Warp& w, PrState& st)
     co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runPr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-      AppOutputs* out)
+      std::uint64_t /*seed*/, AppOutput* out)
 {
-    GGA_ASSERT(cfg.prop != UpdateProp::PushPull,
-               "PR has a static traversal: use Push or Pull");
     Gpu gpu(params, cfg.coh, cfg.con);
     PrState st(gpu, g);
     const VertexId n = g.numVertices();
@@ -203,28 +196,9 @@ runPr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
                    [&st](Warp& w) { return prFinalize(w, st); });
     }
 
-    if (out && out->prRanks)
-        *out->prRanks = st.rank.host();
+    if (out)
+        *out = PrOutput{st.rank.host()};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runPrTyped(const CsrGraph& g, const SystemConfig& cfg,
-           const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    (void)seed; // PageRank has no stochastic choices
-    if (!out)
-        return runPr(g, cfg, params, nullptr);
-    PrOutput typed;
-    AppOutputs sinks;
-    sinks.prRanks = &typed.ranks;
-    const RunResult r = runPr(g, cfg, params, &sinks);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -232,18 +206,7 @@ runPrTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerPrApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Pr;
-    e.name = appName(AppId::Pr);
-    e.properties = algoProperties(AppId::Pr);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a static traversal and requires Push or Pull";
-    e.run = &runPrTyped;
-    e.runLegacy = &runPr;
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop != UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add(AppId::Pr, &runPr);
 }
 
 } // namespace gga

@@ -9,8 +9,6 @@
  * stamp the target with i+1.
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
@@ -219,14 +217,10 @@ ssspPull(Warp& w, SsspState& st)
         co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runSssp(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-        AppOutputs* out)
+        std::uint64_t /*seed*/, AppOutput* out)
 {
-    GGA_ASSERT(cfg.prop != UpdateProp::PushPull,
-               "SSSP has a static traversal: use Push or Pull");
     Gpu gpu(params, cfg.coh, cfg.con);
     SsspState st(gpu, g);
     const VertexId n = g.numVertices();
@@ -251,28 +245,9 @@ runSssp(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (st.iter > kMaxSweeps)
         GGA_WARN("SSSP hit the sweep cap without converging");
 
-    if (out && out->ssspDist)
-        *out->ssspDist = st.dist.host();
+    if (out)
+        *out = SsspOutput{st.dist.host()};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runSsspTyped(const CsrGraph& g, const SystemConfig& cfg,
-             const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    (void)seed; // SSSP's source is fixed; no stochastic choices
-    if (!out)
-        return runSssp(g, cfg, params, nullptr);
-    SsspOutput typed;
-    AppOutputs sinks;
-    sinks.ssspDist = &typed.dist;
-    const RunResult r = runSssp(g, cfg, params, &sinks);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -280,18 +255,7 @@ runSsspTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerSsspApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Sssp;
-    e.name = appName(AppId::Sssp);
-    e.properties = algoProperties(AppId::Sssp);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a static traversal and requires Push or Pull";
-    e.run = &runSsspTyped;
-    e.runLegacy = &runSssp;
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop != UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add(AppId::Sssp, &runSssp);
 }
 
 } // namespace gga

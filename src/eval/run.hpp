@@ -27,7 +27,7 @@ namespace gga {
 /** Typed digest of a run's functional output (empty optional if none). */
 std::optional<OutputSummary> summarizeOutput(const RunOutcome& outcome);
 
-/** The RunPlan a work unit executes as (params default: registry preset). */
+/** The RunPlan a work unit executes as (params default: SimParams{}). */
 RunPlan planForUnit(const WorkUnit& unit);
 
 /**

@@ -48,7 +48,7 @@ struct WorkUnit
     std::string path;  ///< MatrixMarket file; empty for preset inputs
     double scale = 1.0; ///< preset scale in (0, 1]; 1.0 for file inputs
     SystemConfig config;
-    /** Hardware point; absent = the app's AppRegistry params preset. */
+    /** Hardware point; absent = the paper's Table IV system (SimParams{}). */
     std::optional<SimParams> params;
     /** Reserved for stochastic apps; part of the unit's identity. */
     std::uint64_t seed = 0;

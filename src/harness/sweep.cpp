@@ -1,7 +1,6 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "api/graph_store.hpp"
@@ -80,9 +79,8 @@ buildSweepSpec(const Workload& workload, std::vector<SystemConfig> configs,
         configs.push_back(spec.predicted);
 
     // Sweeps never collect functional outputs (timing/counters only), and
-    // they omit the params override when it is just the app's registered
-    // preset so the unit keys stay canonical across callers.
-    const SimParams& preset = AppRegistry::instance().at(workload.app).params;
+    // they omit the params override when it is just the default Table IV
+    // system so the unit keys stay canonical across callers.
     spec.units.reserve(configs.size());
     for (const SystemConfig& cfg : configs) {
         WorkUnit u;
@@ -90,7 +88,7 @@ buildSweepSpec(const Workload& workload, std::vector<SystemConfig> configs,
         u.preset = workload.graph;
         u.scale = scale;
         u.config = cfg;
-        if (!(params == preset))
+        if (!(params == SimParams{}))
             u.params = params;
         spec.units.push_back(std::move(u));
     }
@@ -145,71 +143,28 @@ manifestForSpecs(const std::vector<SweepSpec>& specs)
     return manifest;
 }
 
-PendingSweep
-submitSweep(Session& session, const Workload& workload,
-            std::vector<SystemConfig> configs,
-            std::optional<SimParams> params, double scale)
+SweepResult
+sweepWorkload(Session& session, const Workload& workload,
+              std::vector<SystemConfig> configs,
+              std::optional<SimParams> params, double scale)
 {
     // Unset knobs defer to the session — the same defaults every plain
     // run() on this session uses — so one Session never mixes scales or
     // hardware parameters between sweeps and direct runs.
     const double graph_scale =
         scale > 0.0 ? scale : session.options().scale;
-    const SimParams run_params = params.value_or(session.options().params);
-
-    PendingSweep pending;
-    pending.spec_ =
-        buildSweepSpec(workload, std::move(configs), run_params, graph_scale);
-    Manifest manifest;
-    // addUnique: a duplicated configuration in the caller's list is not
-    // an error (the legacy path ran it twice); the single shared unit
-    // fans back out to one result slot per list entry in
-    // sweepFromResults.
-    for (const WorkUnit& u : pending.spec_.units)
-        manifest.addUnique(u);
-    pending.pending_ = submitManifest(session, manifest);
-    return pending;
-}
-
-SweepResult
-PendingSweep::collect()
-{
-    GGA_ASSERT(pending_.size() > 0 && !spec_.units.empty(),
-               "PendingSweep collected twice or never submitted");
+    const SweepSpec spec =
+        buildSweepSpec(workload, std::move(configs),
+                       params.value_or(session.options().params),
+                       graph_scale);
     try {
-        const ResultSet results = pending_.collect();
-        return sweepFromResults(spec_, results);
+        // A duplicated configuration in the caller's list runs once; its
+        // unit fans back out to one result slot per list entry.
+        return sweepFromResults(spec,
+                                runManifest(session, manifestForSpecs({spec})));
     } catch (const EvalError& err) {
-        GGA_FATAL("sweep of ", spec_.workload.name(), ": ", err.what());
+        GGA_FATAL("sweep of ", workload.name(), ": ", err.what());
     }
-}
-
-SweepResult
-sweepWorkload(Session& session, const Workload& workload,
-              std::vector<SystemConfig> configs,
-              std::optional<SimParams> params, double scale)
-{
-    return submitSweep(session, workload, std::move(configs),
-                       std::move(params), scale)
-        .collect();
-}
-
-SweepResult
-sweepWorkload(const Workload& workload, std::vector<SystemConfig> configs,
-              const SimParams& params, const SweepOptions& opts)
-{
-    SessionOptions session_opts;
-    // Clamp the private pool to the work available: buildSweepSpec adds at
-    // most the baseline and the prediction to @p configs, so anything
-    // wider than that would sit idle for this one sweep.
-    const unsigned requested =
-        opts.threads == 0 ? defaultSessionThreads() : opts.threads;
-    session_opts.threads = static_cast<unsigned>(
-        std::min<std::size_t>(requested, configs.size() + 2));
-    session_opts.scale = resolveScale(opts.scale);
-    session_opts.verboseRuns = true; // match the legacy per-run inform
-    Session session(session_opts);
-    return sweepWorkload(session, workload, std::move(configs), params);
 }
 
 } // namespace gga

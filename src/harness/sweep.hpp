@@ -6,10 +6,10 @@
  * A sweep is a SweepSpec — an ordered configuration list (baseline and
  * the model's prediction appended when missing) plus the serializable
  * WorkUnits realizing it. Execution goes through the eval pipeline:
- * submitSweep() turns the spec into a manifest on the session's shared
+ * sweepWorkload() runs the spec's units as a manifest on the session's
  * executor, and sweepFromResults() reassembles a SweepResult from any
  * ResultSet covering the spec's units — in-process or merged from worker
- * shards — bit-identically to the old serial run() loop.
+ * shards — bit-identically to a serial run() loop.
  */
 
 #ifndef GGA_HARNESS_SWEEP_HPP
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "apps/runner.hpp"
 #include "eval/run.hpp"
 #include "harness/workloads.hpp"
 #include "model/decision_tree.hpp"
@@ -67,8 +66,8 @@ struct SweepSpec
  * Build the spec for @p workload: append the baseline and the model's
  * prediction (computed here, via the GraphStore at @p scale) when the
  * caller's list lacks them, and realize each configuration as a WorkUnit
- * at @p scale. @p params is omitted from the units when it matches the
- * app's registered preset, keeping unit keys canonical.
+ * at @p scale. @p params is omitted from the units when it is the default
+ * SimParams{}, keeping unit keys canonical.
  */
 SweepSpec buildSweepSpec(const Workload& workload,
                          std::vector<SystemConfig> configs,
@@ -98,82 +97,18 @@ SweepResult sweepFromResults(const SweepSpec& spec, const ResultSet& results);
 Manifest manifestForSpecs(const std::vector<SweepSpec>& specs);
 
 /**
- * A sweep whose runs are enqueued on a Session executor but not yet
- * gathered. Move-only; collect() may be called once. The Session must
- * outlive the PendingSweep's collect().
+ * Run @p workload under every configuration in @p configs (the baseline
+ * and the model's prediction are added when missing) on @p session's
+ * executor: buildSweepSpec, then runManifest, then sweepFromResults. The
+ * result is bit-identical at any executor width. @p params and @p scale
+ * default to the session's SessionOptions (nullopt / 0), the same
+ * defaults every plain run() on the session uses, so a sweep is never
+ * silently inconsistent with direct runs on the same session.
  */
-class PendingSweep
-{
-  public:
-    const Workload& workload() const { return spec_.workload; }
-
-    /**
-     * Block until every run finishes and assemble the SweepResult,
-     * bit-identical at any executor width.
-     */
-    SweepResult collect();
-
-  private:
-    friend PendingSweep submitSweep(Session&, const Workload&,
-                                    std::vector<SystemConfig>,
-                                    std::optional<SimParams>, double);
-
-    SweepSpec spec_;
-    PendingManifest pending_;
-};
-
-/**
- * Enqueue @p workload under every configuration in @p configs (the
- * baseline and the model's prediction are added when missing) on
- * @p session's executor, without blocking on the runs. @p params and
- * @p scale default to the session's SessionOptions (nullopt / 0), the
- * same defaults every plain run() on the session uses, so a sweep is
- * never silently inconsistent with direct runs on the same session.
- *
- * The model prediction (graph build + profiling) happens here, on the
- * caller's thread, because the spec's unit list depends on it — a
- * deliberate trade for serializable sweeps. Callers submitting many
- * sweeps over many *distinct* inputs should pre-warm the graphs (see
- * figureSet's concurrent warm) or use figureSet directly.
- */
-PendingSweep submitSweep(Session& session, const Workload& workload,
-                         std::vector<SystemConfig> configs,
-                         std::optional<SimParams> params = std::nullopt,
-                         double scale = 0.0);
-
-/** submitSweep + collect: the blocking sweep through a shared Session. */
 SweepResult sweepWorkload(Session& session, const Workload& workload,
                           std::vector<SystemConfig> configs,
                           std::optional<SimParams> params = std::nullopt,
                           double scale = 0.0);
-
-/** Execution knobs for the standalone sweepWorkload overload. */
-struct SweepOptions
-{
-    /**
-     * Executor width for the internally-created Session. 0 = the
-     * GGA_SESSION_THREADS environment default (which honors the
-     * deprecated GGA_SWEEP_THREADS as a fallback). The SweepResult is
-     * bit-identical to the serial path at any thread count.
-     */
-    unsigned threads = 0;
-
-    /**
-     * Preset graph scale for the internally-created Session; 0 = the
-     * GGA_SCALE evaluation scale (the legacy default).
-     */
-    double scale = 0.0;
-};
-
-/**
- * Standalone sweep: creates a private Session sized by @p opts. Prefer
- * the Session-taking overload (or submitSweep) so concurrent sweeps share
- * one executor.
- */
-SweepResult sweepWorkload(const Workload& workload,
-                          std::vector<SystemConfig> configs,
-                          const SimParams& params = SimParams{},
-                          const SweepOptions& opts = SweepOptions{});
 
 /** The baseline configuration a workload's Fig. 5 group normalizes to. */
 SystemConfig baselineConfig(const Workload& workload);

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the Plan/Session API layer: registry completeness, plan
- * validation (no aborts on invalid input), old-vs-new output parity for
- * every application, the thread-safe GraphStore, and serial-vs-parallel
- * sweep equivalence.
+ * validation (no aborts on invalid input), every application's typed
+ * output against the CPU references, the thread-safe GraphStore, and
+ * serial-vs-parallel sweep equivalence.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +17,7 @@
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
 #include "api/session.hpp"
-#include "apps/runner.hpp"
+#include "apps/reference.hpp"
 #include "graph/generator.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
@@ -53,7 +55,7 @@ TEST(Registry, AllSixAppsRegistered)
         ASSERT_NE(e, nullptr) << appName(app);
         EXPECT_EQ(e->id, app);
         EXPECT_EQ(e->name, appName(app));
-        EXPECT_TRUE(e->run && e->runLegacy && e->validConfig);
+        EXPECT_NE(e->run, nullptr);
     }
     EXPECT_EQ(reg.find(static_cast<AppId>(99)), nullptr);
 }
@@ -167,67 +169,69 @@ TEST(RunPlan, ValidationRejectsInvalidAppConfigPair)
                     .has_value());
 }
 
-// --- old-vs-new parity ----------------------------------------------------
+// --- outputs vs the CPU references ---------------------------------------
 
-TEST(Parity, AllAppsMatchLegacyRunners)
+RunPlan
+smallPlan(AppId app)
+{
+    const bool dynamic =
+        algoProperties(app).traversal == TraversalKind::Dynamic;
+    return RunPlan{}
+        .app(app)
+        .graph(smallGraph(), "api-small")
+        .config(dynamic ? "DD1" : "SG1");
+}
+
+TEST(Parity, AllAppsMatchCpuReferences)
 {
     Session session;
     const CsrGraph& g = smallGraph();
-    const SimParams params;
-
     for (AppId app : kAllApps) {
-        const bool dynamic =
-            algoProperties(app).traversal == TraversalKind::Dynamic;
-        const SystemConfig cfg = parseConfig(dynamic ? "DD1" : "SG1");
-
-        std::vector<float> pr_ranks;
-        std::vector<std::uint32_t> sssp_dist, mis_state, colors, bc_level,
-            cc_labels;
-        std::vector<double> bc_delta, bc_sigma;
-        AppOutputs sinks;
-        sinks.prRanks = &pr_ranks;
-        sinks.ssspDist = &sssp_dist;
-        sinks.misState = &mis_state;
-        sinks.colors = &colors;
-        sinks.bcDelta = &bc_delta;
-        sinks.bcLevel = &bc_level;
-        sinks.bcSigma = &bc_sigma;
-        sinks.ccLabels = &cc_labels;
-        const RunResult old_run = runWorkload(app, g, cfg, params, &sinks);
-
-        const RunOutcome neu = session.run(
-            RunPlan{}.app(app).graph(g, "api-small").config(cfg).params(
-                params));
-
-        EXPECT_EQ(neu.result.cycles, old_run.cycles) << appName(app);
-        EXPECT_EQ(neu.result.kernels, old_run.kernels) << appName(app);
-        EXPECT_TRUE(neu.hasOutput()) << appName(app);
+        const RunOutcome out = session.run(smallPlan(app));
+        EXPECT_GT(out.result.cycles, 0u) << appName(app);
+        EXPECT_GT(out.result.kernels, 0u) << appName(app);
+        ASSERT_TRUE(out.hasOutput()) << appName(app);
         switch (app) {
-          case AppId::Pr:
-            ASSERT_NE(neu.pr(), nullptr);
-            EXPECT_EQ(neu.pr()->ranks, pr_ranks);
+          case AppId::Pr: {
+            ASSERT_NE(out.pr(), nullptr);
+            const std::vector<double> expect =
+                ref::pagerank(g, kPrIterations);
+            ASSERT_EQ(out.pr()->ranks.size(), expect.size());
+            for (std::size_t v = 0; v < expect.size(); ++v)
+                EXPECT_NEAR(out.pr()->ranks[v], expect[v],
+                            std::max(1e-6, 1e-3 * expect[v]));
             break;
+          }
           case AppId::Sssp:
-            ASSERT_NE(neu.sssp(), nullptr);
-            EXPECT_EQ(neu.sssp()->dist, sssp_dist);
+            ASSERT_NE(out.sssp(), nullptr);
+            EXPECT_EQ(out.sssp()->dist, ref::dijkstra(g, 0));
             break;
           case AppId::Mis:
-            ASSERT_NE(neu.mis(), nullptr);
-            EXPECT_EQ(neu.mis()->state, mis_state);
+            ASSERT_NE(out.mis(), nullptr);
+            EXPECT_TRUE(ref::validMis(g, out.mis()->state));
             break;
           case AppId::Clr:
-            ASSERT_NE(neu.clr(), nullptr);
-            EXPECT_EQ(neu.clr()->colors, colors);
+            ASSERT_NE(out.clr(), nullptr);
+            EXPECT_TRUE(ref::validColoring(g, out.clr()->colors));
             break;
-          case AppId::Bc:
-            ASSERT_NE(neu.bc(), nullptr);
-            EXPECT_EQ(neu.bc()->delta, bc_delta);
-            EXPECT_EQ(neu.bc()->level, bc_level);
-            EXPECT_EQ(neu.bc()->sigma, bc_sigma);
+          case AppId::Bc: {
+            ASSERT_NE(out.bc(), nullptr);
+            const ref::BcRef expect = ref::brandes(g, 0);
+            EXPECT_EQ(out.bc()->level, expect.level);
+            ASSERT_EQ(out.bc()->sigma.size(), expect.sigma.size());
+            ASSERT_EQ(out.bc()->delta.size(), expect.delta.size());
+            for (std::size_t v = 0; v < expect.sigma.size(); ++v) {
+                EXPECT_NEAR(out.bc()->sigma[v], expect.sigma[v],
+                            1e-9 + 1e-9 * expect.sigma[v]);
+                EXPECT_NEAR(out.bc()->delta[v], expect.delta[v],
+                            1e-9 + 1e-9 * std::abs(expect.delta[v]));
+            }
             break;
+          }
           case AppId::Cc:
-            ASSERT_NE(neu.cc(), nullptr);
-            EXPECT_EQ(neu.cc()->labels, cc_labels);
+            ASSERT_NE(out.cc(), nullptr);
+            EXPECT_TRUE(
+                ref::samePartition(out.cc()->labels, ref::components(g)));
             break;
         }
     }
@@ -235,23 +239,14 @@ TEST(Parity, AllAppsMatchLegacyRunners)
 
 TEST(Seed, ZeroSeedMatchesUnseededPaperRuns)
 {
-    // seed=0 must be bit-identical to the legacy unseeded runners for
+    // seed=0 must be bit-identical to a plan that never sets a seed, for
     // every app: the golden paper results key off it.
     Session session;
-    const CsrGraph& g = smallGraph();
     for (AppId app : kAllApps) {
-        const bool dynamic =
-            algoProperties(app).traversal == TraversalKind::Dynamic;
-        const RunPlan base = RunPlan{}
-                                 .app(app)
-                                 .graph(g, "api-small")
-                                 .config(dynamic ? "DD1" : "SG1");
-        const RunOutcome unseeded = session.run(base);
-        const RunOutcome zero = session.run(RunPlan{base}.seed(0));
-        EXPECT_EQ(zero.result.cycles, unseeded.result.cycles)
-            << appName(app);
-        EXPECT_EQ(zero.result.kernels, unseeded.result.kernels)
-            << appName(app);
+        const RunOutcome unseeded = session.run(smallPlan(app));
+        const RunOutcome zero = session.run(smallPlan(app).seed(0));
+        EXPECT_EQ(zero.result, unseeded.result) << appName(app);
+        EXPECT_EQ(zero.output, unseeded.output) << appName(app);
     }
 }
 
@@ -398,14 +393,21 @@ TEST(GraphStoreTest, EvictionKeepsOutstandingHandlesValid)
 
 // --- parallel sweep -------------------------------------------------------
 
+SweepResult
+sweepOnThreads(const Workload& wl, unsigned threads)
+{
+    SessionOptions opts;
+    opts.threads = threads;
+    opts.scale = evaluationScale();
+    Session session(opts);
+    return sweepWorkload(session, wl, figureConfigs(wl.dynamic()));
+}
+
 TEST(ParallelSweep, BitIdenticalToSerial)
 {
     const Workload wl{AppId::Mis, GraphPreset::Raj};
-    const SimParams params;
-    const SweepResult serial =
-        sweepWorkload(wl, figureConfigs(false), params, SweepOptions{1});
-    const SweepResult parallel =
-        sweepWorkload(wl, figureConfigs(false), params, SweepOptions{3});
+    const SweepResult serial = sweepOnThreads(wl, 1);
+    const SweepResult parallel = sweepOnThreads(wl, 3);
 
     ASSERT_EQ(parallel.results.size(), serial.results.size());
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
@@ -428,9 +430,8 @@ TEST(ParallelSweep, DynamicWorkloadAcrossThreads)
 {
     // CC exercises the PushPull body; two threads over its 4 figure
     // configs double as a concurrent-simulator smoke test.
-    const Workload wl{AppId::Cc, GraphPreset::Raj};
-    const SweepResult sweep = sweepWorkload(
-        wl, figureConfigs(true), SimParams{}, SweepOptions{2});
+    const SweepResult sweep =
+        sweepOnThreads(Workload{AppId::Cc, GraphPreset::Raj}, 2);
     ASSERT_GE(sweep.results.size(), 4u);
     for (const ConfigResult& r : sweep.results)
         EXPECT_GE(r.run.cycles, sweep.bestCycles);

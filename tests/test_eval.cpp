@@ -686,21 +686,14 @@ TEST(GraphStoreSnapshot, WorkerBudgetBoundsAFullScaleManifest)
     std::filesystem::remove_all(dir);
 }
 
-// --- per-app params presets ----------------------------------------------
+// --- default hardware point ----------------------------------------------
 
-TEST(RegistryParams, EveryAppRegistersTheTableIvPreset)
-{
-    for (const AppRegistry::Entry& e : AppRegistry::instance().entries())
-        EXPECT_EQ(e.params, SimParams{}) << e.name;
-}
-
-TEST(RegistryParams, UnitWithoutParamsRunsTheRegistryPreset)
+TEST(UnitParams, UnitWithoutParamsRunsTheTableIvSystem)
 {
     const WorkUnit u = presetUnit(AppId::Pr, GraphPreset::Dct, "SGR", 0.1);
     const RunPlan plan = planForUnit(u);
     ASSERT_TRUE(plan.plannedParams().has_value());
-    EXPECT_EQ(*plan.plannedParams(),
-              AppRegistry::instance().at(AppId::Pr).params);
+    EXPECT_EQ(*plan.plannedParams(), SimParams{});
     EXPECT_EQ(plan.outputsRequested(), std::optional<bool>(false));
 }
 

@@ -34,13 +34,13 @@ TEST(Workloads, BaselineConfigs)
 
 TEST(Sweep, FindsBestAndIncludesPrediction)
 {
-    // Use a small custom graph through the runner directly to keep this
-    // test fast: sweep MIS on a scaled RAJ across three configs.
-    const Workload wl{AppId::Mis, GraphPreset::Raj};
-    // Scaled graph via GGA_SCALE is process-global; instead run the
-    // sweep machinery on the full registry graph only if small. RAJ is
-    // the smallest input; use the figure configs.
-    const SweepResult sweep = sweepWorkload(wl, figureConfigs(false));
+    // RAJ is the smallest input; sweep MIS over the figure configs at the
+    // GGA_SCALE evaluation scale to keep this test fast.
+    SessionOptions opts;
+    opts.scale = evaluationScale();
+    Session session(opts);
+    const SweepResult sweep = sweepWorkload(
+        session, {AppId::Mis, GraphPreset::Raj}, figureConfigs(false));
     ASSERT_GE(sweep.results.size(), 5u);
     // BEST really is the minimum.
     for (const ConfigResult& r : sweep.results)

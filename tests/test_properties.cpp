@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/runner.hpp"
+#include "api/session.hpp"
 #include "graph/generator.hpp"
-#include "model/config.hpp"
-#include "support/log.hpp"
 
 namespace gga {
 namespace {
@@ -33,10 +31,19 @@ propGraph()
     return g;
 }
 
-struct AppParam
+/** Timing and counters of @p app on the property graph under @p cfg. */
+RunResult
+simulate(AppId app, std::string_view cfg)
 {
-    AppId app;
-};
+    Session session;
+    return session
+        .run(RunPlan{}
+                 .app(app)
+                 .graph(propGraph(), "prop")
+                 .config(cfg)
+                 .collectOutputs(false))
+        .result;
+}
 
 class PerApp : public ::testing::TestWithParam<AppId>
 {
@@ -48,12 +55,9 @@ TEST_P(PerApp, PullInsensitiveToConsistency)
     const AppId app = GetParam();
     if (algoProperties(app).traversal == TraversalKind::Dynamic)
         GTEST_SKIP() << "dynamic apps have no pull variant";
-    const Cycles tg0 =
-        runWorkload(app, propGraph(), parseConfig("TG0")).cycles;
-    const Cycles tg1 =
-        runWorkload(app, propGraph(), parseConfig("TG1")).cycles;
-    const Cycles tgr =
-        runWorkload(app, propGraph(), parseConfig("TGR")).cycles;
+    const Cycles tg0 = simulate(app, "TG0").cycles;
+    const Cycles tg1 = simulate(app, "TG1").cycles;
+    const Cycles tgr = simulate(app, "TGR").cycles;
     EXPECT_EQ(tg0, tg1);
     EXPECT_EQ(tg1, tgr);
 }
@@ -64,8 +68,7 @@ TEST_P(PerApp, PullHasNoAtomics)
     const AppId app = GetParam();
     if (algoProperties(app).traversal == TraversalKind::Dynamic)
         GTEST_SKIP();
-    const RunResult r =
-        runWorkload(app, propGraph(), parseConfig("TG0"));
+    const RunResult r = simulate(app, "TG0");
     EXPECT_EQ(r.mem.l2Atomics, 0u);
     EXPECT_EQ(r.mem.l1AtomicHits, 0u);
 }
@@ -76,12 +79,10 @@ TEST_P(PerApp, CoherenceMechanismsAreExclusive)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const RunResult gpu = runWorkload(app, propGraph(),
-                                      parseConfig(dyn ? "DG1" : "SG1"));
+    const RunResult gpu = simulate(app, dyn ? "DG1" : "SG1");
     EXPECT_EQ(gpu.mem.ownershipRequests, 0u);
     EXPECT_EQ(gpu.mem.l1AtomicHits, 0u);
-    const RunResult denovo = runWorkload(app, propGraph(),
-                                         parseConfig(dyn ? "DD1" : "SD1"));
+    const RunResult denovo = simulate(app, dyn ? "DD1" : "SD1");
     EXPECT_EQ(denovo.mem.l2Atomics, 0u);
     EXPECT_GT(denovo.mem.ownershipRequests, 0u);
 }
@@ -92,12 +93,8 @@ TEST_P(PerApp, RelaxationHelpsOrIsNeutral)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const Cycles drf1 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG1" : "SG1"))
-            .cycles;
-    const Cycles rlx =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DGR" : "SGR"))
-            .cycles;
+    const Cycles drf1 = simulate(app, dyn ? "DG1" : "SG1").cycles;
+    const Cycles rlx = simulate(app, dyn ? "DGR" : "SGR").cycles;
     // Allow 2% modeling noise (different interleavings).
     EXPECT_LT(rlx, drf1 + drf1 / 50);
 }
@@ -108,12 +105,8 @@ TEST_P(PerApp, Drf0IsNeverFasterThanDrf1)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const Cycles drf0 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG0" : "SG0"))
-            .cycles;
-    const Cycles drf1 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG1" : "SG1"))
-            .cycles;
+    const Cycles drf0 = simulate(app, dyn ? "DG0" : "SG0").cycles;
+    const Cycles drf1 = simulate(app, dyn ? "DG1" : "SG1").cycles;
     EXPECT_GE(drf0, drf1);
 }
 
@@ -123,9 +116,9 @@ TEST_P(PerApp, DeterministicReplay)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const SystemConfig cfg = parseConfig(dyn ? "DDR" : "SDR");
-    const RunResult a = runWorkload(app, propGraph(), cfg);
-    const RunResult b = runWorkload(app, propGraph(), cfg);
+    const char* cfg = dyn ? "DDR" : "SDR";
+    const RunResult a = simulate(app, cfg);
+    const RunResult b = simulate(app, cfg);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.kernels, b.kernels);
@@ -137,8 +130,7 @@ TEST_P(PerApp, BreakdownConservation)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const RunResult r = runWorkload(app, propGraph(),
-                                    parseConfig(dyn ? "DG1" : "SG1"));
+    const RunResult r = simulate(app, dyn ? "DG1" : "SG1");
     const double expected = static_cast<double>(r.cycles) * 15;
     EXPECT_NEAR(r.breakdown.total(), expected, expected * 0.01);
 }
@@ -154,10 +146,8 @@ INSTANTIATE_TEST_SUITE_P(AllApps, PerApp,
 /** The DRF0 flush/invalidate machinery engages only under DRF0. */
 TEST(Properties, Drf0FlushesPerAtomic)
 {
-    const RunResult drf0 =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SG0"));
-    const RunResult drf1 =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SG1"));
+    const RunResult drf0 = simulate(AppId::Pr, "SG0");
+    const RunResult drf1 = simulate(AppId::Pr, "SG1");
     EXPECT_GT(drf0.mem.acquireInvalidatedLines,
               drf1.mem.acquireInvalidatedLines);
 }
@@ -165,8 +155,7 @@ TEST(Properties, Drf0FlushesPerAtomic)
 /** DeNovo with reuse executes a healthy share of atomics at the L1. */
 TEST(Properties, DeNovoRealizesAtomicReuse)
 {
-    const RunResult r =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SD1"));
+    const RunResult r = simulate(AppId::Pr, "SD1");
     EXPECT_GT(r.mem.l1AtomicHits, r.mem.ownershipRequests);
 }
 
@@ -174,10 +163,8 @@ TEST(Properties, DeNovoRealizesAtomicReuse)
 TEST(Properties, KernelCountsConfigInvariant)
 {
     for (AppId app : {AppId::Pr, AppId::Mis}) {
-        const auto a =
-            runWorkload(app, propGraph(), parseConfig("TG0")).kernels;
-        const auto b =
-            runWorkload(app, propGraph(), parseConfig("SDR")).kernels;
+        const auto a = simulate(app, "TG0").kernels;
+        const auto b = simulate(app, "SDR").kernels;
         EXPECT_EQ(a, b) << appName(app);
     }
 }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -310,34 +311,58 @@ TEST(Submit, ThreadsOptionResolves)
     EXPECT_GE(Session().threads(), 1u); // environment default
 }
 
+TEST(Submit, SessionThreadsParseIsStrict)
+{
+    const std::string max = std::to_string(UINT_MAX);
+    EXPECT_EQ(parseSessionThreads("8"), std::optional<unsigned>(8));
+    EXPECT_EQ(parseSessionThreads(max), std::optional<unsigned>(UINT_MAX));
+    // Trailing or leading junk is rejected, not read as its numeric prefix.
+    EXPECT_EQ(parseSessionThreads("8threads"), std::nullopt);
+    EXPECT_EQ(parseSessionThreads("8 "), std::nullopt);
+    EXPECT_EQ(parseSessionThreads(" 8"), std::nullopt);
+    EXPECT_EQ(parseSessionThreads("+8"), std::nullopt);
+    EXPECT_EQ(parseSessionThreads(""), std::nullopt);
+    // Zero and negative counts are invalid.
+    EXPECT_EQ(parseSessionThreads("0"), std::nullopt);
+    EXPECT_EQ(parseSessionThreads("-1"), std::nullopt);
+    // Overflow is rejected, not truncated (2^32 + 1 must not become 1).
+    EXPECT_EQ(parseSessionThreads("4294967297"), std::nullopt);
+    EXPECT_EQ(parseSessionThreads(max + "0"), std::nullopt);
+}
+
 // --- sweeps on a shared executor ------------------------------------------
 
-TEST(SubmitSweep, ConcurrentSweepsMatchStandaloneSerial)
+Session
+makeSweepSession(unsigned threads)
+{
+    SessionOptions opts;
+    opts.threads = threads;
+    opts.scale = evaluationScale();
+    return Session(opts);
+}
+
+SweepResult
+figureSweep(Session& session, const Workload& wl)
+{
+    return sweepWorkload(session, wl, figureConfigs(wl.dynamic()));
+}
+
+TEST(SubmitSweep, ConcurrentSweepsMatchSerial)
 {
     const Workload mis{AppId::Mis, GraphPreset::Raj};
     const Workload cc{AppId::Cc, GraphPreset::Raj};
-    const SimParams params;
 
-    const SweepResult mis_serial =
-        sweepWorkload(mis, figureConfigs(false), params, SweepOptions{1});
-    const SweepResult cc_serial =
-        sweepWorkload(cc, figureConfigs(true), params, SweepOptions{1});
+    Session serial = makeSweepSession(1);
+    const SweepResult mis_serial = figureSweep(serial, mis);
+    const SweepResult cc_serial = figureSweep(serial, cc);
 
     for (unsigned width : {2u, 4u}) {
-        SessionOptions opts;
-        opts.threads = width;
-        // Sweeps default to the session's scale; match the standalone
-        // overload's GGA_SCALE default so the comparison is apples to
-        // apples.
-        opts.scale = evaluationScale();
-        Session session(opts);
-        // Both sweeps in flight on one executor before either collects.
-        PendingSweep a =
-            submitSweep(session, mis, figureConfigs(false), params);
-        PendingSweep b =
-            submitSweep(session, cc, figureConfigs(true), params);
-        const SweepResult mis_par = a.collect();
-        const SweepResult cc_par = b.collect();
+        Session session = makeSweepSession(width);
+        // Both sweeps in flight on one executor, from two caller threads.
+        SweepResult cc_par;
+        std::thread other([&] { cc_par = figureSweep(session, cc); });
+        const SweepResult mis_par = figureSweep(session, mis);
+        other.join();
 
         for (const auto& [serial, par] :
              {std::pair<const SweepResult&, const SweepResult&>(mis_serial,
