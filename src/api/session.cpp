@@ -207,6 +207,9 @@ Session::validate(const RunPlan& plan) const
     if (!entry->validConfig(*plan.plannedConfig()))
         return entry->name + " " + entry->configRequirement + ", got " +
                plan.plannedConfig()->name();
+    if (const std::optional<std::string> why =
+            plan.plannedParams().value_or(opts_.params).check())
+        return "invalid SimParams: " + *why;
     return std::nullopt;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
@@ -79,7 +80,11 @@ simParamsFromJson(const Json& j)
         bool known = false;
 #define GGA_X(field)                                                        \
         if (key == #field) {                                                \
-            p.field = static_cast<decltype(p.field)>(value.asU64());        \
+            const std::uint64_t v = value.asU64();                          \
+            if (!std::in_range<decltype(p.field)>(v))                       \
+                throw EvalError("SimParams member '" + key + "' = " +       \
+                                std::to_string(v) + " does not fit");       \
+            p.field = static_cast<decltype(p.field)>(v);                    \
             known = true;                                                   \
         }
         GGA_SIM_PARAMS_FIELDS(GGA_X)
@@ -87,6 +92,8 @@ simParamsFromJson(const Json& j)
         if (!known)
             throw EvalError("unknown SimParams member '" + key + "'");
     }
+    if (const std::optional<std::string> why = p.check())
+        throw EvalError("invalid SimParams: " + *why);
     return p;
 }
 

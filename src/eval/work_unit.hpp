@@ -80,7 +80,8 @@ Json simParamsToJson(const SimParams& p);
  * Rebuild SimParams from JSON: starts from the defaults and applies the
  * members present, so manifests stay readable across parameter additions.
  * Throws EvalError on an unknown member (a typo must not silently run
- * the default hardware).
+ * the default hardware), on a value its field cannot hold, and on a
+ * combination SimParams::check() rejects.
  */
 SimParams simParamsFromJson(const Json& j);
 

@@ -1,50 +1,64 @@
 #include "sim/cache.hpp"
 
 #include "support/log.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
-SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
-                             std::uint32_t line_bytes)
-    : numSets_(size_bytes / line_bytes / assoc),
-      assoc_(assoc),
-      lineBytes_(line_bytes),
-      ways_(static_cast<std::size_t>(numSets_) * assoc)
-{
-    GGA_ASSERT(numSets_ > 0, "cache too small for its associativity");
-}
+namespace {
 
 std::uint32_t
-SetAssocCache::setOf(Addr line) const
+setCount(std::uint32_t size_bytes, std::uint32_t assoc,
+         std::uint32_t line_bytes)
 {
-    // Hash the line index so strided graph arrays spread across sets.
-    const std::uint64_t idx = line / lineBytes_;
-    return static_cast<std::uint32_t>(hashMix64(idx) % numSets_);
+    GGA_ASSERT(assoc > 0 && line_bytes > 0, "empty cache geometry");
+    const std::uint32_t sets = size_bytes / line_bytes / assoc;
+    GGA_ASSERT(sets > 0, "cache too small for its associativity");
+    return sets;
+}
+
+} // namespace
+
+SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
+                             std::uint32_t line_bytes)
+    : numSets_(setCount(size_bytes, assoc, line_bytes)),
+      assoc_(assoc),
+      setIndex_(numSets_, log2Pow2(line_bytes)),
+      tags_(static_cast<std::size_t>(numSets_) * assoc, kNoLine),
+      states_(tags_.size(), LineState::Invalid),
+      lastUse_(tags_.size(), 0)
+{
+    GGA_ASSERT(line_bytes > kNoLine, "lines must be wider than one byte");
 }
 
 LineState
 SetAssocCache::lookup(Addr line)
 {
-    const std::size_t base = static_cast<std::size_t>(setOf(line)) * assoc_;
+    const LineState* st = touch(line);
+    return st ? *st : LineState::Invalid;
+}
+
+LineState*
+SetAssocCache::touch(Addr line)
+{
+    const std::size_t base = setBase(line);
+    const Addr* tags = &tags_[base];
     for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way& way = ways_[base + w];
-        if (way.state != LineState::Invalid && way.line == line) {
-            way.lastUse = ++useClock_;
-            return way.state;
+        if (tags[w] == line) {
+            lastUse_[base + w] = ++useClock_;
+            return &states_[base + w];
         }
     }
-    return LineState::Invalid;
+    return nullptr;
 }
 
 LineState*
 SetAssocCache::find(Addr line)
 {
-    const std::size_t base = static_cast<std::size_t>(setOf(line)) * assoc_;
+    const std::size_t base = setBase(line);
+    const Addr* tags = &tags_[base];
     for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way& way = ways_[base + w];
-        if (way.state != LineState::Invalid && way.line == line)
-            return &way.state;
+        if (tags[w] == line)
+            return &states_[base + w];
     }
     return nullptr;
 }
@@ -53,35 +67,45 @@ SetAssocCache::Eviction
 SetAssocCache::insert(Addr line, LineState st)
 {
     GGA_ASSERT(st != LineState::Invalid, "cannot insert an invalid line");
-    const std::size_t base = static_cast<std::size_t>(setOf(line)) * assoc_;
-    Way* victim = nullptr;
+    const std::size_t base = setBase(line);
+    const Addr* tags = &tags_[base];
+    const std::uint64_t* last_use = &lastUse_[base];
+    // Victim: the first invalid way, else the least recently used (the
+    // earliest way on a tie).
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way& way = ways_[base + w];
-        GGA_ASSERT(way.state == LineState::Invalid || way.line != line,
+        GGA_ASSERT(tags[w] != line,
                    "inserting a line that is already present");
-        if (way.state == LineState::Invalid) {
-            victim = &way;
+        if (tags[w] == kNoLine) {
+            victim = w;
             break;
         }
-        if (!victim || way.lastUse < victim->lastUse)
-            victim = &way;
+        if (last_use[w] < last_use[victim])
+            victim = w;
     }
+    const std::size_t v = base + victim;
     Eviction ev;
-    if (victim->state != LineState::Invalid) {
-        ev.line = victim->line;
-        ev.state = victim->state;
+    if (tags_[v] != kNoLine) {
+        ev.line = tags_[v];
+        ev.state = states_[v];
     }
-    victim->line = line;
-    victim->state = st;
-    victim->lastUse = ++useClock_;
+    tags_[v] = line;
+    states_[v] = st;
+    lastUse_[v] = ++useClock_;
     return ev;
 }
 
 void
 SetAssocCache::invalidate(Addr line)
 {
-    if (LineState* st = find(line))
-        *st = LineState::Invalid;
+    const std::size_t base = setBase(line);
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if (tags_[base + w] == line) {
+            tags_[base + w] = kNoLine;
+            states_[base + w] = LineState::Invalid;
+            return;
+        }
+    }
 }
 
 std::vector<Addr>
@@ -95,9 +119,10 @@ SetAssocCache::collectLines(LineState st) const
 void
 SetAssocCache::collectLines(LineState st, std::vector<Addr>& out) const
 {
-    for (const Way& w : ways_) {
-        if (w.state == st)
-            out.push_back(w.line);
+    GGA_ASSERT(st != LineState::Invalid, "invalid ways hold no line");
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        if (states_[i] == st)
+            out.push_back(tags_[i]);
     }
 }
 
@@ -105,12 +130,13 @@ std::uint64_t
 SetAssocCache::invalidateForAcquire(bool keep_owned)
 {
     std::uint64_t count = 0;
-    for (Way& w : ways_) {
-        if (w.state == LineState::Invalid)
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        const LineState s = states_[i];
+        if (s == LineState::Invalid ||
+            (keep_owned && s == LineState::Owned))
             continue;
-        if (keep_owned && w.state == LineState::Owned)
-            continue;
-        w.state = LineState::Invalid;
+        states_[i] = LineState::Invalid;
+        tags_[i] = kNoLine;
         ++count;
     }
     return count;
@@ -119,9 +145,9 @@ SetAssocCache::invalidateForAcquire(bool keep_owned)
 void
 SetAssocCache::cleanDirty()
 {
-    for (Way& w : ways_) {
-        if (w.state == LineState::Dirty)
-            w.state = LineState::Valid;
+    for (LineState& s : states_) {
+        if (s == LineState::Dirty)
+            s = LineState::Valid;
     }
 }
 

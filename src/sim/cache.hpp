@@ -3,6 +3,14 @@
  * Generic set-associative, LRU tag array. Shared by the per-SM L1s and the
  * L2 banks; coherence semantics live in the controllers, this class only
  * tracks line presence and state.
+ *
+ * Layout: struct-of-arrays, numSets x assoc row-major — the tags (u64),
+ * the states (one byte each) and the LRU stamps (u64) live in three
+ * parallel arrays. An invalid way's tag holds kNoLine, which is not
+ * line-aligned, so a hit test is one tag compare per way; the flash
+ * invalidation, flush and collect walks touch only the byte-wide states.
+ * The set is hashMix64(line index) % numSets, a mask for power-of-two
+ * set counts; others, such as a 48 KiB L1's 96 sets, take the modulo.
  */
 
 #ifndef GGA_SIM_CACHE_HPP
@@ -11,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/hashed_index.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -34,8 +43,15 @@ class SetAssocCache
     /** State of @p line; bumps LRU on hit. Invalid if absent. */
     LineState lookup(Addr line);
 
-    /** Mutable state pointer without an LRU bump; nullptr if absent. */
+    /**
+     * Mutable state pointer without an LRU bump; nullptr if absent. Write
+     * only valid states through it: dropping a line is invalidate()'s
+     * job, which also clears the tag.
+     */
     LineState* find(Addr line);
+
+    /** find() with lookup()'s LRU bump on a hit: one scan for both. */
+    LineState* touch(Addr line);
 
     /** A displaced line from insert(). */
     struct Eviction
@@ -53,7 +69,7 @@ class SetAssocCache
     /** Drop @p line if present. */
     void invalidate(Addr line);
 
-    /** Collect all lines currently in state @p st. */
+    /** Collect all lines currently in state @p st (not Invalid). */
     std::vector<Addr> collectLines(LineState st) const;
 
     /**
@@ -77,20 +93,23 @@ class SetAssocCache
     std::uint32_t assoc() const { return assoc_; }
 
   private:
-    struct Way
-    {
-        Addr line = 0;
-        LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an invalid way; never equal to a line-aligned address. */
+    static constexpr Addr kNoLine = 1;
 
-    std::uint32_t setOf(Addr line) const;
+    /** Index of the set's first way in the three arrays. */
+    std::size_t
+    setBase(Addr line) const
+    {
+        return static_cast<std::size_t>(setIndex_.of(line)) * assoc_;
+    }
 
     std::uint32_t numSets_;
     std::uint32_t assoc_;
-    std::uint32_t lineBytes_;
+    HashedIndex setIndex_;
     std::uint64_t useClock_ = 0;
-    std::vector<Way> ways_; // numSets_ x assoc_, row-major
+    std::vector<Addr> tags_;
+    std::vector<LineState> states_;
+    std::vector<std::uint64_t> lastUse_;
 };
 
 } // namespace gga

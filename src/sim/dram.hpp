@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/hashed_index.hpp"
 #include "sim/params.hpp"
-#include "support/rng.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -23,6 +23,7 @@ class Dram
     explicit Dram(const SimParams& params)
         : latency_(params.dramLatency),
           interval_(params.dramServiceInterval),
+          channelOf_(params.dramChannels, /*shift=*/0),
           channelFree_(params.dramChannels, 0)
     {
     }
@@ -34,7 +35,7 @@ class Dram
     Cycles
     access(Cycles t, Addr line, bool is_write)
     {
-        const std::size_t ch = hashMix64(line) % channelFree_.size();
+        const std::uint32_t ch = channelOf_.of(line);
         const Cycles start = std::max(t, channelFree_[ch]);
         channelFree_[ch] = start + interval_;
         if (is_write) {
@@ -51,6 +52,8 @@ class Dram
   private:
     Cycles latency_;
     Cycles interval_;
+    /** Channels hash the line address itself, not its line index. */
+    HashedIndex channelOf_;
     std::vector<Cycles> channelFree_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

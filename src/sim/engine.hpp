@@ -33,8 +33,12 @@
 
 namespace gga {
 
-/** Callback type for events; must stay within the inline capacity. */
-using EventFn = InlineFunction<void(), 48>;
+/**
+ * Callback type for events; captures must fit the 32-byte inline capacity
+ * (the largest today, a resumed store's `this, lines, count, idx, req`,
+ * is exactly 32). With its time stamp an Event fills one 64-byte line.
+ */
+using EventFn = InlineFunction<void(), 32>;
 
 /**
  * Hierarchical-time-wheel event queue. All simulator components schedule
@@ -76,6 +80,7 @@ class Engine
         Cycles time;
         EventFn fn;
     };
+    static_assert(sizeof(Event) == 64, "an event should fill one cache line");
 
     struct Level
     {

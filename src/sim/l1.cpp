@@ -45,6 +45,12 @@ L1Controller::insertLine(Addr line, LineState st)
             *existing = st;
         return;
     }
+    allocateLine(line, st);
+}
+
+void
+L1Controller::allocateLine(Addr line, LineState st)
+{
     const SetAssocCache::Eviction ev = tags_.insert(line, st);
     if (ev.state == LineState::Dirty) {
         // GPU write-combining victim: write through in the background.
@@ -58,13 +64,7 @@ void
 L1Controller::fillLine(Addr line, LineState st)
 {
     insertLine(line, st);
-    // Fills never nest (all L2 responses arrive through the engine), so
-    // one scratch vector serves every completion.
-    GGA_ASSERT(fillScratch_.empty(), "re-entrant fill");
-    mshr_.complete(line, fillScratch_);
-    for (EventFn& waiter : fillScratch_)
-        waiter();
-    fillScratch_.clear();
+    mshr_.complete(line);
     pumpMshrWaiters();
 }
 
@@ -202,7 +202,7 @@ L1Controller::stepStore(const Addr* lines, std::uint32_t count,
             if (LineState* st = tags_.find(line))
                 *st = LineState::Dirty;
             else
-                insertLine(line, LineState::Dirty);
+                allocateLine(line, LineState::Dirty);
             ++idx;
             continue;
         }

@@ -126,7 +126,10 @@ class L1Controller
                    Pending* req);
     void stepGpuAtomic(Addr word, Pending* req);
     void stepDeNovoAtomic(Addr word, Pending* req);
+    /** Install @p line in state @p st, or upgrade it when present. */
     void insertLine(Addr line, LineState st);
+    /** Insert an absent @p line, writing back or releasing the victim. */
+    void allocateLine(Addr line, LineState st);
     bool drained() const;
     /** Complete release flushes once the drain condition holds. */
     void maybeNotifyDrain();
@@ -158,8 +161,6 @@ class L1Controller
     /** Continuations stalled on store-buffer / MSHR capacity. */
     RingBuffer<EventFn> sbWaiters_;
     RingBuffer<EventFn> mshrWaiters_;
-    /** Scratch for MSHR completion waiters (reused across fills). */
-    std::vector<EventFn> fillScratch_;
     /** Release flushes waiting for the store buffer/fills to drain. */
     std::vector<Pending*> drainWaiters_;
     /** Scratch for dirty-line collection at releases (reused). */

@@ -1,13 +1,16 @@
 #include "sim/l2.hpp"
 
 #include "support/log.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
 L2System::L2System(Engine& engine, const SimParams& params,
                    const MeshNoc& noc, Dram& dram)
-    : engine_(engine), params_(params), noc_(noc), dram_(dram)
+    : engine_(engine),
+      params_(params),
+      noc_(noc),
+      dram_(dram),
+      bankOf_(params.l2Banks, log2Pow2(params.lineBytes))
 {
     banks_.reserve(params.l2Banks);
     for (std::uint32_t b = 0; b < params.l2Banks; ++b)
@@ -26,13 +29,6 @@ L2System::smPortDepart(std::uint32_t sm_id, Cycles extra)
     return depart;
 }
 
-std::uint32_t
-L2System::bankOf(Addr line) const
-{
-    return static_cast<std::uint32_t>(
-        hashMix64(line / params_.lineBytes) % banks_.size());
-}
-
 Cycles
 L2System::occupyBank(Bank& bank, Cycles arrival, Cycles interval)
 {
@@ -45,8 +41,7 @@ Cycles
 L2System::dataReady(Bank& bank, Addr line, Cycles arrival,
                     Cycles service_start, LineState on_fill)
 {
-    if (bank.tags.lookup(line) != LineState::Invalid) {
-        LineState* st = bank.tags.find(line);
+    if (LineState* st = bank.tags.touch(line)) {
         if (on_fill == LineState::Dirty)
             *st = LineState::Dirty;
         return service_start + params_.l2BankLatency;

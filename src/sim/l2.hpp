@@ -20,6 +20,7 @@
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
 #include "sim/engine.hpp"
+#include "sim/hashed_index.hpp"
 #include "sim/noc.hpp"
 #include "sim/params.hpp"
 #include "support/flat_map.hpp"
@@ -98,7 +99,7 @@ class L2System
         FlatMap<Addr, Cycles> ownershipNextFree;
     };
 
-    std::uint32_t bankOf(Addr line) const;
+    std::uint32_t bankOf(Addr line) const { return bankOf_.of(line); }
 
     /** Occupy the bank and return the service start time. */
     Cycles occupyBank(Bank& bank, Cycles arrival, Cycles interval);
@@ -118,6 +119,7 @@ class L2System
     /** Depart through the SM's NoC injection port (bandwidth model). */
     Cycles smPortDepart(std::uint32_t sm_id, Cycles extra = 0);
 
+    HashedIndex bankOf_;
     std::vector<Bank> banks_;
     std::vector<Cycles> smPortFree_;
     /** DeNovo registration directory: line -> owning SM. */

@@ -3,10 +3,10 @@
  * Miss Status Holding Registers: outstanding line fills with waiter
  * merging. A full table back-pressures the core (Data stalls).
  *
- * Hot-path storage: entries live in an open-addressing FlatMap (no
- * per-miss node allocation) and the per-entry waiter vectors are
- * recycled through a spare list, so steady-state misses allocate
- * nothing.
+ * Hot-path storage: entries live in an open-addressing FlatMap sized for
+ * the table's capacity up front (its erase leaves no tombstones, so it
+ * never rehashes), and each entry's waiters form a FIFO chain of nodes
+ * from the table's ObjectPool, so steady-state misses allocate nothing.
  */
 
 #ifndef GGA_SIM_MSHR_HPP
@@ -14,10 +14,10 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "support/flat_map.hpp"
+#include "support/object_pool.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -46,6 +46,12 @@ class MshrTable
         entries_.reserve(capacity);
     }
 
+    /** In-flight waiters are dropped unrun (the pool must end empty). */
+    ~MshrTable()
+    {
+        entries_.clear([this](Addr, Entry& e) { freeChain(e.head); });
+    }
+
     bool full() const { return entries_.size() >= capacity_; }
 
     bool isPending(Addr line) const { return entries_.contains(line); }
@@ -65,13 +71,12 @@ class MshrTable
         if (Entry* e = entries_.find(line)) {
             if (kind == FillKind::Ownership && e->kind == FillKind::Data)
                 return MshrAdd::Conflict;
-            e->waiters.push_back(std::move(waiter));
+            append(*e, std::move(waiter));
             return MshrAdd::Merged;
         }
         Entry& e = entries_[line];
         e.kind = kind;
-        e.waiters = takeSpareVec();
-        e.waiters.push_back(std::move(waiter));
+        append(e, std::move(waiter));
         return MshrAdd::NewEntry;
     }
 
@@ -84,64 +89,76 @@ class MshrTable
     addRetryOnFill(Addr line, EventFn fn)
     {
         if (Entry* e = entries_.find(line))
-            e->waiters.push_back(std::move(fn));
+            append(*e, std::move(fn));
         else
             fn(); // fill already landed; retry immediately
     }
 
     /**
-     * Complete the fill of @p line, appending its waiters to @p out. The
-     * entry is removed (and its storage recycled) before waiters run.
+     * Complete the fill of @p line: remove its entry, then run its
+     * waiters in the order they were attached. A waiter may add waiters
+     * to this table, for @p line too (that opens a new entry). Returns
+     * the number of waiters run.
      */
-    void
-    complete(Addr line, std::vector<EventFn>& out)
+    std::size_t
+    complete(Addr line)
     {
         Entry* e = entries_.find(line);
         if (e == nullptr)
-            return;
-        for (EventFn& fn : e->waiters)
-            out.push_back(std::move(fn));
-        e->waiters.clear();
-        recycleVec(std::move(e->waiters));
+            return 0;
+        Waiter* w = e->head;
         entries_.erase(line);
-    }
-
-    /** Convenience overload returning the waiters (tests). */
-    std::vector<EventFn>
-    complete(Addr line)
-    {
-        std::vector<EventFn> out;
-        complete(line, out);
-        return out;
+        std::size_t ran = 0;
+        while (w != nullptr) {
+            // The node stays live while it runs, so nodes the waiter
+            // allocates cannot reuse it.
+            w->fn();
+            Waiter* next = w->next;
+            pool_.destroy(w);
+            w = next;
+            ++ran;
+        }
+        return ran;
     }
 
   private:
-    struct Entry
+    struct Waiter
     {
-        FillKind kind = FillKind::Data;
-        std::vector<EventFn> waiters;
+        EventFn fn;
+        Waiter* next = nullptr;
     };
 
-    std::vector<EventFn>
-    takeSpareVec()
+    struct Entry
     {
-        if (spares_.empty())
-            return {};
-        std::vector<EventFn> v = std::move(spares_.back());
-        spares_.pop_back();
-        return v;
+        Waiter* head = nullptr;
+        Waiter* tail = nullptr;
+        FillKind kind = FillKind::Data;
+    };
+
+    void
+    append(Entry& e, EventFn&& fn)
+    {
+        Waiter* w = pool_.create();
+        w->fn = std::move(fn);
+        if (e.tail != nullptr)
+            e.tail->next = w;
+        else
+            e.head = w;
+        e.tail = w;
     }
 
     void
-    recycleVec(std::vector<EventFn>&& v)
+    freeChain(Waiter* w)
     {
-        if (spares_.size() < capacity_)
-            spares_.push_back(std::move(v));
+        while (w != nullptr) {
+            Waiter* next = w->next;
+            pool_.destroy(w);
+            w = next;
+        }
     }
 
+    ObjectPool<Waiter> pool_;
     FlatMap<Addr, Entry> entries_;
-    /** Emptied waiter vectors kept warm for the next miss. */
-    std::vector<std::vector<EventFn>> spares_;
     std::uint32_t capacity_;
 };
 

@@ -1,5 +1,7 @@
 #include "sim/params.hpp"
 
+#include <limits>
+
 #include "support/log.hpp"
 
 namespace gga {
@@ -12,26 +14,64 @@ isPow2(std::uint64_t x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
+/**
+ * The rule a cache geometry breaks, if any: @p kib KiB split over
+ * @p parts (L2 banks) must give whole sets of @p assoc lines.
+ */
+std::optional<std::string>
+checkCache(const char* name, std::uint64_t kib, std::uint64_t parts,
+           std::uint64_t assoc, std::uint64_t line_bytes)
+{
+    const std::string n = name;
+    if (assoc < 1)
+        return n + " associativity must be >= 1";
+    if (kib * 1024 > std::numeric_limits<std::uint32_t>::max())
+        return n + " size must stay below 4 GiB";
+    const std::uint64_t lines = kib * 1024 / line_bytes / parts;
+    if (lines < assoc)
+        return n + " must hold at least one set";
+    if (lines % assoc != 0)
+        return n + " geometry must divide evenly";
+    return std::nullopt;
+}
+
 } // namespace
+
+std::optional<std::string>
+SimParams::check() const
+{
+    if (numSms < 1 || numSms > 15)
+        return "numSms must fit the 4x4 mesh minus the CPU node";
+    if (!isPow2(warpSize))
+        return "warp size must be a power of two";
+    if (threadBlockSize < 1 || threadBlockSize % warpSize != 0)
+        return "thread block size must be a warp multiple";
+    if (!isPow2(lineBytes) || lineBytes < 8)
+        return "line size must be a power of two of at least 8 bytes";
+    if (l2Banks != 16)
+        return "the 4x4 mesh hosts exactly 16 L2 banks";
+    if (maxBlocksPerSm < 1)
+        return "need at least one resident block";
+    if (relaxedAtomicWindow < 1)
+        return "relaxed window must be >= 1";
+    if (l1Mshrs < 1)
+        return "need at least one L1 MSHR";
+    if (storeBufferEntries < 1)
+        return "need at least one store buffer entry";
+    if (dramChannels < 1)
+        return "need at least one DRAM channel";
+    if (auto why = checkCache("L1", l1SizeKiB, 1, l1Assoc, lineBytes))
+        return why;
+    if (auto why = checkCache("L2", l2SizeKiB, l2Banks, l2Assoc, lineBytes))
+        return why;
+    return std::nullopt;
+}
 
 void
 SimParams::validate() const
 {
-    GGA_ASSERT(numSms >= 1 && numSms <= 15,
-               "numSms must fit the 4x4 mesh minus the CPU node");
-    GGA_ASSERT(isPow2(warpSize), "warp size must be a power of two");
-    GGA_ASSERT(threadBlockSize % warpSize == 0,
-               "thread block size must be a warp multiple");
-    GGA_ASSERT(isPow2(lineBytes), "line size must be a power of two");
-    GGA_ASSERT(l2Banks == 16, "the 4x4 mesh hosts exactly 16 L2 banks");
-    GGA_ASSERT(maxBlocksPerSm >= 1, "need at least one resident block");
-    GGA_ASSERT(relaxedAtomicWindow >= 1, "relaxed window must be >= 1");
-    const std::uint64_t l1_lines =
-        static_cast<std::uint64_t>(l1SizeKiB) * 1024 / lineBytes;
-    GGA_ASSERT(l1_lines % l1Assoc == 0, "L1 geometry must divide evenly");
-    const std::uint64_t l2_lines = static_cast<std::uint64_t>(l2SizeKiB) *
-                                   1024 / lineBytes / l2Banks;
-    GGA_ASSERT(l2_lines % l2Assoc == 0, "L2 geometry must divide evenly");
+    const std::optional<std::string> why = check();
+    GGA_ASSERT(!why, "invalid SimParams: ", why.value_or(""));
 }
 
 } // namespace gga

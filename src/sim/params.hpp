@@ -11,6 +11,8 @@
 #define GGA_SIM_PARAMS_HPP
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "support/types.hpp"
 
@@ -84,12 +86,18 @@ struct SimParams
         return maxBlocksPerSm * warpsPerBlock();
     }
 
-    /** Panic if the parameter combination is unusable. */
+    /**
+     * The first rule this parameter combination breaks, or nullopt when
+     * it is usable. Input paths (work units, plans) report it as an error.
+     */
+    std::optional<std::string> check() const;
+
+    /** Panic if check() fails: the simulator's own backstop. */
     void validate() const;
 
     /**
-     * Field-wise equality (work units omit their params override when it
-     * matches the app's registered preset).
+     * Field-wise equality (sweep units and figure manifests omit their
+     * params override when it equals the default Table IV system).
      */
     bool operator==(const SimParams&) const = default;
 };

@@ -169,6 +169,66 @@ TEST(RunPlan, ValidationRejectsInvalidAppConfigPair)
                     .has_value());
 }
 
+TEST(RunPlan, ValidationRejectsUnusableSimParams)
+{
+    // Each of these used to reach the simulator: a zero divisor (SIGFPE),
+    // or the GGA_ASSERT backstop in Gpu. Now they are plan errors.
+    const auto with = [](auto edit) {
+        SimParams p;
+        edit(p);
+        return RunPlan{}
+            .app(AppId::Pr)
+            .graph(GraphPreset::Dct)
+            .config("SG1")
+            .params(p);
+    };
+    Session session;
+    std::string error;
+    EXPECT_FALSE(
+        session.tryRun(with([](SimParams& p) { p.dramChannels = 0; }), &error)
+            .has_value());
+    EXPECT_NE(error.find("DRAM channel"), std::string::npos) << error;
+    EXPECT_FALSE(
+        session.tryRun(with([](SimParams& p) { p.l1Assoc = 0; }), &error)
+            .has_value());
+    EXPECT_NE(error.find("L1 associativity"), std::string::npos) << error;
+    EXPECT_TRUE(
+        session.validate(with([](SimParams& p) { p.l2Banks = 8; })));
+    EXPECT_TRUE(
+        session.validate(with([](SimParams& p) { p.l1Mshrs = 0; })));
+    EXPECT_TRUE(session.validate(
+        with([](SimParams& p) { p.storeBufferEntries = 0; })));
+    EXPECT_THROW(
+        session.submit(with([](SimParams& p) { p.l2Assoc = 0; })).get(),
+        PlanError);
+
+    // The session-wide default is checked like a per-plan override.
+    SessionOptions opts;
+    opts.params.dramChannels = 0;
+    Session bad_default(opts);
+    EXPECT_TRUE(bad_default.validate(
+        RunPlan{}.app(AppId::Pr).graph(GraphPreset::Dct).config("SG1")));
+}
+
+TEST(RunPlan, NonPowerOfTwoGeometriesRun)
+{
+    // A 48 KiB L1 has 96 sets and 12 DRAM channels are not a power of
+    // two: both take the modulo path of the set/channel hash.
+    SimParams p;
+    p.l1SizeKiB = 48;
+    p.dramChannels = 12;
+    ASSERT_FALSE(p.check().has_value());
+    Session session;
+    const RunOutcome odd = session.run(RunPlan{}
+                                           .app(AppId::Pr)
+                                           .graph(smallGraph(), "api-small")
+                                           .config("SG1")
+                                           .params(p));
+    EXPECT_GT(odd.result.cycles, 0u);
+    ASSERT_NE(odd.pr(), nullptr);
+    EXPECT_EQ(odd.pr()->ranks.size(), smallGraph().numVertices());
+}
+
 // --- outputs vs the CPU references ---------------------------------------
 
 RunPlan

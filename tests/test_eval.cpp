@@ -697,6 +697,42 @@ TEST(UnitParams, UnitWithoutParamsRunsTheTableIvSystem)
     EXPECT_EQ(plan.outputsRequested(), std::optional<bool>(false));
 }
 
+TEST(UnitParams, UnusableOverridesAreErrorsNotCrashes)
+{
+    const auto unit_with = [](const std::string& params) {
+        return Json::parse("{\"app\": \"PR\", \"input\": {\"preset\": "
+                           "\"DCT\", \"scale\": 0.1}, \"config\": \"SG1\", "
+                           "\"params\": " +
+                           params + "}");
+    };
+    // Zero divisors (these crashed with SIGFPE), the mesh's fixed bank
+    // count (an abort), a value its u32 field cannot hold (silently
+    // truncated to 0), and a cache too small for one set.
+    for (const char* bad :
+         {"{\"dramChannels\": 0}", "{\"l1Assoc\": 0}", "{\"l2Assoc\": 0}",
+          "{\"l2Banks\": 8}", "{\"l1Mshrs\": 0}",
+          "{\"storeBufferEntries\": 0}", "{\"l1Mshrs\": 4294967296}",
+          "{\"l1SizeKiB\": 0}", "{\"l1SizeKiB\": 4194304}",
+          "{\"lineBytes\": 48}", "{\"numSms\": 16}"})
+        EXPECT_THROW(WorkUnit::fromJson(unit_with(bad)), EvalError) << bad;
+
+    const auto message = [](const char* params) -> std::string {
+        try {
+            simParamsFromJson(Json::parse(params));
+        } catch (const EvalError& err) {
+            return err.what();
+        }
+        return "";
+    };
+    EXPECT_NE(message("{\"dramChannels\": 0}").find("DRAM channel"),
+              std::string::npos);
+    EXPECT_NE(message("{\"l1Mshrs\": 4294967296}").find("does not fit"),
+              std::string::npos);
+    // 64-bit fields take any u64; non-power-of-two counts stay legal.
+    EXPECT_EQ(message("{\"dramLatency\": 18446744073709551615}"), "");
+    EXPECT_EQ(message("{\"dramChannels\": 12, \"l1SizeKiB\": 48}"), "");
+}
+
 // --- figure sets ----------------------------------------------------------
 
 TEST(FigureSet, ManifestMetaRebuildsTheSet)

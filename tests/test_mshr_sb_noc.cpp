@@ -4,6 +4,9 @@
  * the mesh NoC latency model, and the DRAM channel model.
  */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/dram.hpp"
@@ -24,10 +27,7 @@ TEST(Mshr, NewEntryThenMerge)
     EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&calls] { ++calls; }),
               MshrAdd::Merged);
     EXPECT_TRUE(m.isPending(64));
-    auto waiters = m.complete(64);
-    EXPECT_EQ(waiters.size(), 2u);
-    for (auto& w : waiters)
-        w();
+    EXPECT_EQ(m.complete(64), 2u);
     EXPECT_EQ(calls, 2);
     EXPECT_FALSE(m.isPending(64));
 }
@@ -52,11 +52,62 @@ TEST(Mshr, CapacityAndRetryOnFill)
     EXPECT_TRUE(m.full());
     int retried = 0;
     m.addRetryOnFill(64, [&retried] { ++retried; });
-    auto waiters = m.complete(64);
-    EXPECT_EQ(waiters.size(), 2u);
+    EXPECT_EQ(m.complete(64), 2u);
+    EXPECT_EQ(retried, 1);
+    EXPECT_FALSE(m.full());
     // Retry attached to an absent line fires immediately.
     m.addRetryOnFill(999, [&retried] { ++retried; });
-    EXPECT_EQ(retried, 1);
+    EXPECT_EQ(retried, 2);
+}
+
+TEST(Mshr, WaitersRunInAttachOrderAcrossMergesAndRetries)
+{
+    MshrTable m(4);
+    std::vector<int> order;
+    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&order] { order.push_back(1); }),
+              MshrAdd::NewEntry);
+    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&order] { order.push_back(2); }),
+              MshrAdd::Merged);
+    // A conflicting upgrade attaches nothing; its retry queues in order.
+    EXPECT_EQ(m.addWaiter(64, FillKind::Ownership,
+                          [&order] { order.push_back(-1); }),
+              MshrAdd::Conflict);
+    m.addRetryOnFill(64, [&order, &m] {
+        order.push_back(3);
+        // Re-missing on the line being completed opens a fresh entry.
+        EXPECT_EQ(m.addWaiter(64, FillKind::Ownership,
+                              [&order] { order.push_back(5); }),
+                  MshrAdd::NewEntry);
+    });
+    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&order] { order.push_back(4); }),
+              MshrAdd::Merged);
+    EXPECT_EQ(m.complete(64), 4u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_TRUE(m.isPending(64));
+    EXPECT_EQ(m.complete(64), 1u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(m.inFlight(), 0u);
+    EXPECT_EQ(m.complete(64), 0u);
+}
+
+TEST(Mshr, DestroyedWithFillsInFlightReleasesEveryWaiter)
+{
+    // The waiters hold a shared_ptr each: if the table leaked or skipped
+    // a node, the count would stay up (and the pool would assert).
+    auto token = std::make_shared<int>(0);
+    {
+        MshrTable m(128);
+        for (Addr line = 0; line < 128; ++line) {
+            for (int w = 0; w < 3; ++w)
+                m.addWaiter(line * 64, FillKind::Data, [token] { ++*token; });
+        }
+        m.addRetryOnFill(64, [token] { ++*token; });
+        EXPECT_TRUE(m.full());
+        EXPECT_EQ(m.complete(0), 3u);
+        EXPECT_EQ(token.use_count(), 1 + 127 * 3 + 1);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 3); // dropped waiters never ran
 }
 
 TEST(StoreBufferTest, AcquireRelease)

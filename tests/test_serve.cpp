@@ -175,6 +175,27 @@ TEST(ServeSubmit, RejectsMalformedBodies)
     EXPECT_EQ(post("{\"plan\": {\"app\": \"NOPE\"}}"), 400);
 }
 
+TEST(ServeSubmit, UnusableSimParamsAre400)
+{
+    // These overrides used to take the whole server down: a zero divisor
+    // in the simulator (SIGFPE), or its assert backstop.
+    Service svc(quickOptions());
+    const Manifest m = tinyManifest();
+    for (const char* params :
+         {"{\"dramChannels\": 0}", "{\"l1Assoc\": 0}",
+          "{\"l2Banks\": 8}", "{\"l1Mshrs\": 4294967296}"}) {
+        Json plan = m.units()[0].toJson();
+        plan.set("params", Json::parse(params));
+        Json body = Json::object();
+        body.set("plan", std::move(plan));
+        const HttpResponse r =
+            svc.handle(request("POST", "/v1/jobs", {}, body.dump()));
+        EXPECT_EQ(r.status, 400) << params;
+        EXPECT_NE(r.body.find("SimParams"), std::string::npos) << r.body;
+    }
+    EXPECT_EQ(svc.handle(request("GET", "/v1/jobs", {}, "")).status, 200);
+}
+
 TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
 {
     Service svc(quickOptions());

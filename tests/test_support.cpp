@@ -219,7 +219,7 @@ TEST(FlatMap, InsertFindErase)
     EXPECT_FALSE(m.erase(7));
     EXPECT_EQ(m.find(7), nullptr);
     EXPECT_EQ(m.size(), 1u);
-    m[7] = 71; // reuses the tombstone
+    m[7] = 71; // re-inserts into the slot the erase emptied
     EXPECT_EQ(*m.find(7), 71);
 }
 
@@ -255,6 +255,94 @@ TEST(FlatMap, MatchesUnorderedMapUnderChurn)
     m.clear();
     EXPECT_TRUE(m.empty());
     EXPECT_EQ(m.find(64), nullptr);
+}
+
+/**
+ * Homes every key in one of four slots — three at the end of the table
+ * and one at its start — so probe runs are long and wrap around the end,
+ * which is where backward-shift deletion has to get the cyclic distance
+ * right.
+ */
+struct WrappingClusterHash
+{
+    std::size_t
+    operator()(std::uint64_t k) const
+    {
+        return k % 4 == 0 ? 0 : ~std::size_t{0} - k % 3;
+    }
+};
+
+TEST(FlatMap, MatchesUnorderedMapUnderWrappingCollisions)
+{
+    FlatMap<std::uint64_t, std::uint64_t, WrappingClusterHash> m;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    Xoshiro256StarStar rng(7);
+    constexpr std::uint64_t kKeys = 40;
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t key = rng.nextBounded(kKeys);
+        if (rng.nextBounded(2) == 0) {
+            m[key] = i;
+            ref[key] = i;
+        } else {
+            ASSERT_EQ(m.erase(key), ref.erase(key) != 0) << "op " << i;
+        }
+        if (i % 97 == 0) {
+            ASSERT_EQ(m.size(), ref.size());
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                const auto it = ref.find(k);
+                const std::uint64_t* v = m.find(k);
+                ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << k;
+                if (v) {
+                    ASSERT_EQ(*v, it->second) << "key " << k;
+                }
+            }
+        }
+    }
+}
+
+TEST(FlatMap, BoundedLiveSetNeverGrows)
+{
+    // Tombstone deletion grew or compacted a table whose live size stayed
+    // put; backward shift must leave the capacity where it started.
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    std::vector<std::uint64_t> live;
+    for (std::uint64_t k = 0; k < 128; ++k) {
+        m[k * 64] = k;
+        live.push_back(k * 64);
+    }
+    const std::size_t cap = m.capacity();
+    ASSERT_GT(cap, 0u);
+    Xoshiro256StarStar rng(3);
+    std::uint64_t next = 128;
+    for (int i = 0; i < 1000000; ++i) {
+        const std::size_t victim = rng.nextBounded(live.size());
+        ASSERT_TRUE(m.erase(live[victim]));
+        live[victim] = next * 64;
+        m[next * 64] = next;
+        ++next;
+    }
+    EXPECT_EQ(m.capacity(), cap);
+    EXPECT_EQ(m.size(), live.size());
+    for (std::uint64_t k : live)
+        ASSERT_NE(m.find(k), nullptr);
+}
+
+TEST(FlatMap, ClearHandsEveryEntryToTheReleaseCallback)
+{
+    FlatMap<std::uint32_t, std::unique_ptr<int>> m;
+    for (int k = 0; k < 50; ++k)
+        m[static_cast<std::uint32_t>(k)] = std::make_unique<int>(k);
+    int sum = 0;
+    std::size_t seen = 0;
+    m.clear([&](std::uint32_t key, std::unique_ptr<int>& v) {
+        EXPECT_EQ(static_cast<std::uint32_t>(*v), key);
+        sum += *v;
+        ++seen;
+    });
+    EXPECT_EQ(seen, 50u);
+    EXPECT_EQ(sum, 49 * 50 / 2);
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.find(3), nullptr);
 }
 
 TEST(FlatMap, HoldsMoveOnlyValues)
