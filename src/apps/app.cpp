@@ -9,6 +9,11 @@ GraphBuffers::GraphBuffers(AddressSpace& space, const CsrGraph& g)
 {
 }
 
+GraphState::GraphState(Gpu& gpu, const CsrGraph& graph)
+    : g(graph), gb(gpu.mem(), graph), lb(gpu.params().lineBytes)
+{
+}
+
 RunResult
 collectResult(Gpu& gpu)
 {

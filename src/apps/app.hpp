@@ -26,6 +26,20 @@ struct GraphBuffers
     DeviceBuffer<std::uint32_t> weight; ///< empty when the graph is unweighted
 };
 
+/**
+ * The head of every app's kernel state: the graph, its CSR arrays in
+ * device memory, and the L1 line size. As the first base it allocates
+ * GraphBuffers before any app buffer, so device addresses do not move.
+ */
+struct GraphState
+{
+    GraphState(Gpu& gpu, const CsrGraph& graph);
+
+    const CsrGraph& g;
+    GraphBuffers gb;
+    std::uint32_t lb; ///< line bytes, for coalescing
+};
+
 /** Timing outcome of one workload run. */
 struct RunResult
 {

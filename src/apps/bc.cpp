@@ -15,26 +15,21 @@ namespace gga {
 
 namespace {
 
-struct BcState
+struct BcState : GraphState
 {
     BcState(Gpu& gpu, const CsrGraph& graph)
-        : g(graph),
-          gb(gpu.mem(), graph),
+        : GraphState(gpu, graph),
           level(gpu.mem(), graph.numVertices(), "bc.level"),
           sigma(gpu.mem(), graph.numVertices(), "bc.sigma"),
           delta(gpu.mem(), graph.numVertices(), "bc.delta"),
-          acc(gpu.mem(), graph.numVertices(), "bc.acc"),
-          lb(gpu.params().lineBytes)
+          acc(gpu.mem(), graph.numVertices(), "bc.acc")
     {
     }
 
-    const CsrGraph& g;
-    GraphBuffers gb;
     DeviceBuffer<std::uint32_t> level;
     DeviceBuffer<double> sigma;
     DeviceBuffer<double> delta;
     DeviceBuffer<double> acc;
-    std::uint32_t lb;
     std::uint32_t curLevel = 0;
 };
 
@@ -82,13 +77,8 @@ bcFwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    kutil::LaneTile tile(w, st);
+    if (!tile.mask([&](VertexId v) { return st.level[v] == lv; }))
         co_return;
 
     rd.clear();
@@ -96,46 +86,28 @@ bcFwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
     AddrSet el, ll, words, newly;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        words.clear();
-        newly.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        ll.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId t) {
+            kutil::addElem(ll, st.level, t, st.lb);
+        });
         // Target-level gather: the tpred cost BC's push cannot avoid.
         co_await w.load(ll);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[t] == kInfDist) {
-                    st.level[t] = lv + 1; // benign same-value race
-                    kutil::addElem(newly, st.level, t, st.lb);
-                }
-                if (st.level[t] == lv + 1) {
-                    st.sigma[t] += st.sigma[v];
-                    words.pushUnique(kutil::wordOf(st.sigma, t));
-                }
+        words.clear();
+        newly.clear();
+        tile.forSlot(j, [&](auto, VertexId v, auto, VertexId t) {
+            if (st.level[t] == kInfDist) {
+                st.level[t] = lv + 1; // benign same-value race
+                kutil::addElem(newly, st.level, t, st.lb);
             }
-        }
+            if (st.level[t] == lv + 1) {
+                st.sigma[t] += st.sigma[v];
+                words.pushUnique(kutil::wordOf(st.sigma, t));
+            }
+        });
         if (!words.empty())
             co_await w.atomic(words, /*needs_value=*/false);
         if (!newly.empty())
@@ -155,63 +127,34 @@ bcFwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    double acc[32] = {};
-    bool found[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == kInfDist;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    if (maxd == 0)
-        co_return;
-
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.level[v] == kInfDist; });
+    double acc[kMaxWarpLanes] = {};
+    bool found[kMaxWarpLanes] = {};
     AddrSet el, ll, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, s, st.lb);
-            }
-        }
+        ll.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(ll, st.level, s, st.lb);
+        });
         co_await w.load(ll);
-        bool any = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[s] == lv) {
-                    kutil::addElem(sl, st.sigma, s, st.lb);
-                    any = true;
-                }
+        sl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            if (st.level[s] == lv)
+                kutil::addElem(sl, st.sigma, s, st.lb);
+        });
+        if (sl.empty())
+            continue;
+        co_await w.load(sl);
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId s) {
+            if (st.level[s] == lv) {
+                acc[l] += st.sigma[s];
+                found[l] = true;
             }
-        }
-        if (any) {
-            co_await w.load(sl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (active[l] && j < st.g.degree(v)) {
-                    const VertexId s =
-                        st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                    if (st.level[s] == lv) {
-                        acc[l] += st.sigma[s];
-                        found[l] = true;
-                    }
-                }
-            }
-            co_await w.compute(1);
-        }
+        });
+        co_await w.compute(1);
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -240,13 +183,8 @@ bcBwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv + 1;
-        any |= active[l];
-    }
-    if (!any)
+    kutil::LaneTile tile(w, st);
+    if (!tile.mask([&](VertexId v) { return st.level[v] == lv + 1; }))
         co_return;
 
     rd.clear();
@@ -255,40 +193,22 @@ bcBwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.delta, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
     AddrSet el, ll, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(u) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(u) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        ll.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId t) {
+            kutil::addElem(ll, st.level, t, st.lb);
+        });
         co_await w.load(ll);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(u) + j);
-                if (st.level[t] == lv && st.sigma[u] > 0.0) {
-                    st.acc[t] += (1.0 + st.delta[u]) / st.sigma[u];
-                    words.pushUnique(kutil::wordOf(st.acc, t));
-                }
+        words.clear();
+        tile.forSlot(j, [&](auto, VertexId u, auto, VertexId t) {
+            if (st.level[t] == lv && st.sigma[u] > 0.0) {
+                st.acc[t] += (1.0 + st.delta[u]) / st.sigma[u];
+                words.pushUnique(kutil::wordOf(st.acc, t));
             }
-        }
+        });
         if (!words.empty())
             co_await w.atomic(words, /*needs_value=*/false);
     }
@@ -303,13 +223,8 @@ bcBwdFinalize(Warp& w, BcState& st)
     AddrSet rd;
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    kutil::LaneTile tile(w, st);
+    if (!tile.mask([&](VertexId v) { return st.level[v] == lv; }))
         co_return;
     rd.clear();
     kutil::addRange(rd, st.acc, v0, lanes, st.lb);
@@ -319,7 +234,7 @@ bcBwdFinalize(Warp& w, BcState& st)
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const VertexId v = v0 + l;
-        if (active[l]) {
+        if (tile.active(l)) {
             st.delta[v] = st.sigma[v] * st.acc[v];
             kutil::addElem(wr, st.delta, v, st.lb);
         }
@@ -339,13 +254,8 @@ bcBwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    kutil::LaneTile tile(w, st);
+    if (!tile.mask([&](VertexId v) { return st.level[v] == lv; }))
         co_return;
 
     rd.clear();
@@ -353,61 +263,36 @@ bcBwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    double acc[32] = {};
+    double acc[kMaxWarpLanes] = {};
     AddrSet el, ll, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        ll.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId t) {
+            kutil::addElem(ll, st.level, t, st.lb);
+        });
         co_await w.load(ll);
-        bool hit = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[t] == lv + 1) {
-                    kutil::addElem(sl, st.sigma, t, st.lb);
-                    kutil::addElem(sl, st.delta, t, st.lb);
-                    hit = true;
-                }
+        sl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId t) {
+            if (st.level[t] == lv + 1) {
+                kutil::addElem(sl, st.sigma, t, st.lb);
+                kutil::addElem(sl, st.delta, t, st.lb);
             }
-        }
-        if (hit) {
-            co_await w.load(sl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (active[l] && j < st.g.degree(v)) {
-                    const VertexId t =
-                        st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                    if (st.level[t] == lv + 1 && st.sigma[t] > 0.0)
-                        acc[l] += (1.0 + st.delta[t]) / st.sigma[t];
-                }
-            }
-            co_await w.compute(1);
-        }
+        });
+        if (sl.empty())
+            continue;
+        co_await w.load(sl);
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId t) {
+            if (st.level[t] == lv + 1 && st.sigma[t] > 0.0)
+                acc[l] += (1.0 + st.delta[t]) / st.sigma[t];
+        });
+        co_await w.compute(1);
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const VertexId v = v0 + l;
-        if (active[l]) {
+        if (tile.active(l)) {
             st.delta[v] = st.sigma[v] * acc[l];
             kutil::addElem(wr, st.delta, v, st.lb);
         }
@@ -422,7 +307,6 @@ runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     Gpu gpu(params, cfg.coh, cfg.con);
     BcState st(gpu, g);
     const VertexId n = g.numVertices();
-    const bool push = cfg.prop == UpdateProp::Push;
 
     gpu.launch("bc.init", n, [&st](Warp& w) { return bcInit(w, st); });
     gpu.launch("bc.seed", 1, [&st](Warp& w) { return bcSeed(w, st); });
@@ -430,12 +314,8 @@ runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     // Forward BFS.
     std::uint32_t max_level = 0;
     for (st.curLevel = 0; st.curLevel < kMaxSweeps; ++st.curLevel) {
-        if (push)
-            gpu.launch("bc.fwd.push", n,
-                       [&st](Warp& w) { return bcFwdPush(w, st); });
-        else
-            gpu.launch("bc.fwd.pull", n,
-                       [&st](Warp& w) { return bcFwdPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "bc.fwd", n, st, bcFwdPush,
+                              bcFwdPull);
         bool frontier = false;
         for (VertexId v = 0; v < n && !frontier; ++v)
             frontier = st.level[v] == st.curLevel + 1;
@@ -448,15 +328,12 @@ runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     // Backward dependency accumulation.
     for (std::uint32_t lv = max_level; lv-- > 0;) {
         st.curLevel = lv;
-        if (push) {
-            gpu.launch("bc.bwd.push", n,
-                       [&st](Warp& w) { return bcBwdPush(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "bc.bwd", n, st, bcBwdPush,
+                              bcBwdPull);
+        // Push scatters into acc; a second pass turns it into delta.
+        if (cfg.prop == UpdateProp::Push)
             gpu.launch("bc.bwd.fin", n,
                        [&st](Warp& w) { return bcBwdFinalize(w, st); });
-        } else {
-            gpu.launch("bc.bwd.pull", n,
-                       [&st](Warp& w) { return bcBwdPull(w, st); });
-        }
     }
 
     if (out)

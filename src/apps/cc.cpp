@@ -20,20 +20,15 @@ namespace gga {
 
 namespace {
 
-struct CcState
+struct CcState : GraphState
 {
     CcState(Gpu& gpu, const CsrGraph& graph)
-        : g(graph),
-          gb(gpu.mem(), graph),
-          parent(gpu.mem(), graph.numVertices(), "cc.parent"),
-          lb(gpu.params().lineBytes)
+        : GraphState(gpu, graph),
+          parent(gpu.mem(), graph.numVertices(), "cc.parent")
     {
     }
 
-    const CsrGraph& g;
-    GraphBuffers gb;
     DeviceBuffer<std::uint32_t> parent;
-    std::uint32_t lb;
     bool changed = false;
 };
 
@@ -60,7 +55,7 @@ ccHook(Warp& w, CcState& st)
 
     // Lock-step root chase of each lane's own vertex: racy atomic loads,
     // values needed for control flow.
-    VertexId rv[32];
+    VertexId rv[kMaxWarpLanes];
     for (std::uint32_t l = 0; l < lanes; ++l)
         rv[l] = v0 + l;
     AddrSet words;
@@ -79,24 +74,20 @@ ccHook(Warp& w, CcState& st)
         }
     }
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
+    const kutil::LaneTile tile(w, st);
     AddrSet el;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
         el.clear();
-        VertexId ru[32];
-        bool work[32] = {};
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId u = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (u > v) { // each undirected pair processed once
-                    ru[l] = u;
-                    work[l] = true;
-                    kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j,
-                                   st.lb);
-                }
+        VertexId ru[kMaxWarpLanes];
+        bool work[kMaxWarpLanes] = {};
+        tile.forSlot(j, [&](std::uint32_t l, VertexId v, EdgeId e,
+                            VertexId u) {
+            if (u > v) { // each undirected pair processed once
+                ru[l] = u;
+                work[l] = true;
+                kutil::addElem(el, st.gb.col, e, st.lb);
             }
-        }
+        });
         if (el.empty())
             continue;
         co_await w.load(el);
@@ -143,7 +134,7 @@ ccCompress(Warp& w, CcState& st)
 {
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
-    VertexId r[32];
+    VertexId r[kMaxWarpLanes];
     for (std::uint32_t l = 0; l < lanes; ++l)
         r[l] = v0 + l;
     AddrSet words;

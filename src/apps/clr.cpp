@@ -11,49 +11,28 @@
 
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
 namespace {
 
-struct ClrState
+struct ClrState : GraphState
 {
     ClrState(Gpu& gpu, const CsrGraph& graph, std::uint64_t seed_)
-        : g(graph),
+        : GraphState(gpu, graph),
           seed(seed_),
-          gb(gpu.mem(), graph),
           color(gpu.mem(), graph.numVertices(), "clr.color"),
           pri(gpu.mem(), graph.numVertices(), "clr.pri"),
-          nbrMax(gpu.mem(), graph.numVertices(), "clr.nbrMax"),
-          lb(gpu.params().lineBytes)
+          nbrMax(gpu.mem(), graph.numVertices(), "clr.nbrMax")
     {
     }
 
-    const CsrGraph& g;
     std::uint64_t seed;
-    GraphBuffers gb;
     DeviceBuffer<std::uint32_t> color;
     DeviceBuffer<std::uint32_t> pri;
     DeviceBuffer<std::uint32_t> nbrMax;
-    std::uint32_t lb;
     std::uint32_t round = 0;
 };
-
-/**
- * Unique deterministic 32-bit priority (hash above, id below). @p seed
- * perturbs the hashed bits only; seed 0 reproduces the unseeded runs.
- */
-std::uint32_t
-priorityOf(VertexId v, VertexId n, std::uint64_t seed)
-{
-    std::uint32_t id_bits = 1;
-    while ((1u << id_bits) < n)
-        ++id_bits;
-    return (static_cast<std::uint32_t>(hashMix64(v ^ 0x636c72ull ^ seed))
-            << id_bits) |
-           v;
-}
 
 WarpTask
 clrInit(Warp& w, ClrState& st)
@@ -63,7 +42,8 @@ clrInit(Warp& w, ClrState& st)
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const VertexId v = v0 + l;
         st.color[v] = kInfDist;
-        st.pri[v] = priorityOf(v, st.g.numVertices(), st.seed);
+        st.pri[v] = kutil::priorityOf(v, st.g.numVertices(),
+                                      0x636c72ull ^ st.seed);
         st.nbrMax[v] = 0;
     }
     AddrSet wr;
@@ -104,31 +84,17 @@ clrPropPush(Warp& w, ClrState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.color[v0 + l] == kInfDist;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.color[v] == kInfDist; });
     AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                st.nbrMax[t] = std::max(st.nbrMax[t], st.pri[v]);
-                words.pushUnique(kutil::wordOf(st.nbrMax, t));
-            }
-        }
+        words.clear();
+        tile.forSlot(j, [&](auto, VertexId v, auto, VertexId t) {
+            st.nbrMax[t] = std::max(st.nbrMax[t], st.pri[v]);
+            words.pushUnique(kutil::wordOf(st.nbrMax, t));
+        });
         co_await w.atomic(words, /*needs_value=*/false);
     }
 }
@@ -143,51 +109,32 @@ clrPropPull(Warp& w, ClrState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t acc[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.color[v0 + l] == kInfDist;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.color[v] == kInfDist; });
+    std::uint32_t acc[kMaxWarpLanes] = {};
     AddrSet el, cl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        cl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
         // color[s] and pri[s] are independent loads off the same index;
         // the kernel issues them as one gather (compiler-scheduled ILP).
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(cl, st.color, s, st.lb);
-                kutil::addElem(cl, st.pri, s, st.lb);
-            }
-        }
+        cl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(cl, st.color, s, st.lb);
+            kutil::addElem(cl, st.pri, s, st.lb);
+        });
         co_await w.load(cl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.color[s] == kInfDist)
-                    acc[l] = std::max(acc[l], st.pri[s]);
-            }
-        }
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId s) {
+            if (st.color[s] == kInfDist)
+                acc[l] = std::max(acc[l], st.pri[s]);
+        });
         co_await w.compute(1);
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (active[l]) {
-            st.nbrMax[v] = acc[l];
-            kutil::addElem(wr, st.nbrMax, v, st.lb);
+        if (tile.active(l)) {
+            st.nbrMax[v0 + l] = acc[l];
+            kutil::addElem(wr, st.nbrMax, v0 + l, st.lb);
         }
     }
     if (!wr.empty())
@@ -224,18 +171,13 @@ runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     Gpu gpu(params, cfg.coh, cfg.con);
     ClrState st(gpu, g, seed);
     const VertexId n = g.numVertices();
-    const bool push = cfg.prop == UpdateProp::Push;
 
     gpu.launch("clr.init", n, [&st](Warp& w) { return clrInit(w, st); });
     for (st.round = 1; st.round <= kMaxSweeps; ++st.round) {
         gpu.launch("clr.reset", n,
                    [&st](Warp& w) { return clrReset(w, st); });
-        if (push)
-            gpu.launch("clr.prop.push", n,
-                       [&st](Warp& w) { return clrPropPush(w, st); });
-        else
-            gpu.launch("clr.prop.pull", n,
-                       [&st](Warp& w) { return clrPropPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "clr.prop", n, st, clrPropPush,
+                              clrPropPull);
         gpu.launch("clr.assign", n,
                    [&st](Warp& w) { return clrAssign(w, st); });
         bool uncolored = false;

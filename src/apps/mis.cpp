@@ -11,7 +11,6 @@
 
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
@@ -21,45 +20,25 @@ constexpr std::uint32_t kUndecided = 0;
 constexpr std::uint32_t kInSet = 1;
 constexpr std::uint32_t kOut = 2;
 
-struct MisState
+struct MisState : GraphState
 {
     MisState(Gpu& gpu, const CsrGraph& graph, std::uint64_t seed_)
-        : g(graph),
+        : GraphState(gpu, graph),
           seed(seed_),
-          gb(gpu.mem(), graph),
           state(gpu.mem(), graph.numVertices(), "mis.state"),
           pri(gpu.mem(), graph.numVertices(), "mis.pri"),
           nbrMax(gpu.mem(), graph.numVertices(), "mis.nbrMax"),
-          winnerRound(gpu.mem(), graph.numVertices(), "mis.winnerRound"),
-          lb(gpu.params().lineBytes)
+          winnerRound(gpu.mem(), graph.numVertices(), "mis.winnerRound")
     {
     }
 
-    const CsrGraph& g;
     std::uint64_t seed;
-    GraphBuffers gb;
     DeviceBuffer<std::uint32_t> state;
     DeviceBuffer<std::uint32_t> pri;
     DeviceBuffer<std::uint32_t> nbrMax;
     DeviceBuffer<std::uint32_t> winnerRound;
-    std::uint32_t lb;
     std::uint32_t round = 0;
 };
-
-/**
- * Unique deterministic 32-bit priority: hashed bits above, the id below
- * (Pannotia-style int priorities, made collision-free). @p seed perturbs
- * the hashed bits only — uniqueness comes from the id bits — and seed 0
- * reproduces the unseeded paper runs exactly.
- */
-std::uint32_t
-priorityOf(VertexId v, VertexId n, std::uint64_t seed)
-{
-    std::uint32_t id_bits = 1;
-    while ((1u << id_bits) < n)
-        ++id_bits;
-    return (static_cast<std::uint32_t>(hashMix64(v ^ seed)) << id_bits) | v;
-}
 
 WarpTask
 misInit(Warp& w, MisState& st)
@@ -69,7 +48,7 @@ misInit(Warp& w, MisState& st)
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const VertexId v = v0 + l;
         st.state[v] = kUndecided;
-        st.pri[v] = priorityOf(v, st.g.numVertices(), st.seed);
+        st.pri[v] = kutil::priorityOf(v, st.g.numVertices(), st.seed);
         st.winnerRound[v] = kInfDist;
     }
     AddrSet wr;
@@ -110,32 +89,17 @@ misPropPush(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.state[v] == kUndecided; });
     AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                st.nbrMax[t] = std::max(st.nbrMax[t], st.pri[v]);
-                words.pushUnique(kutil::wordOf(st.nbrMax, t));
-            }
-        }
+        words.clear();
+        tile.forSlot(j, [&](auto, VertexId v, auto, VertexId t) {
+            st.nbrMax[t] = std::max(st.nbrMax[t], st.pri[v]);
+            words.pushUnique(kutil::wordOf(st.nbrMax, t));
+        });
         // Unconditional atomicMax: no target-state gather on the push path.
         co_await w.atomic(words, /*needs_value=*/false);
     }
@@ -151,52 +115,32 @@ misPropPull(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t acc[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.state[v] == kUndecided; });
+    std::uint32_t acc[kMaxWarpLanes] = {};
     AddrSet el, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
         // state[s] and pri[s] are independent loads off the same index;
         // the kernel issues them as one gather (compiler-scheduled ILP).
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.state, s, st.lb);
-                kutil::addElem(sl, st.pri, s, st.lb);
-            }
-        }
+        sl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(sl, st.state, s, st.lb);
+            kutil::addElem(sl, st.pri, s, st.lb);
+        });
         co_await w.load(sl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[s] == kUndecided)
-                    acc[l] = std::max(acc[l], st.pri[s]);
-            }
-        }
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId s) {
+            if (st.state[s] == kUndecided)
+                acc[l] = std::max(acc[l], st.pri[s]);
+        });
         co_await w.compute(1);
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (active[l]) {
-            st.nbrMax[v] = acc[l];
-            kutil::addElem(wr, st.nbrMax, v, st.lb);
+        if (tile.active(l)) {
+            st.nbrMax[v0 + l] = acc[l];
+            kutil::addElem(wr, st.nbrMax, v0 + l, st.lb);
         }
     }
     if (!wr.empty())
@@ -238,32 +182,18 @@ misOutPush(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.winnerRound[v0 + l] == st.round;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.winnerRound[v] == st.round; });
     AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[t] == kUndecided)
-                    st.state[t] = kOut;
-                words.pushUnique(kutil::wordOf(st.state, t));
-            }
-        }
+        words.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId t) {
+            if (st.state[t] == kUndecided)
+                st.state[t] = kOut;
+            words.pushUnique(kutil::wordOf(st.state, t));
+        });
         co_await w.atomic(words, /*needs_value=*/false);
     }
 }
@@ -278,42 +208,25 @@ misOutPull(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool drop[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
+    kutil::LaneTile tile(w, st);
+    tile.mask([&](VertexId v) { return st.state[v] == kUndecided; });
+    bool drop[kMaxWarpLanes] = {};
     AddrSet el, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
-        if (el.empty())
-            break;
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        if (!tile.gather(el, j))
+            break; // every lane left has dropped or run out of edges
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.state, s, st.lb);
-            }
-        }
+        sl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(sl, st.state, s, st.lb);
+        });
         co_await w.load(sl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[s] == kInSet)
-                    drop[l] = true;
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId s) {
+            if (st.state[s] == kInSet) {
+                drop[l] = true;
+                tile.retire(l);
             }
-        }
+        });
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -334,26 +247,17 @@ runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     Gpu gpu(params, cfg.coh, cfg.con);
     MisState st(gpu, g, seed);
     const VertexId n = g.numVertices();
-    const bool push = cfg.prop == UpdateProp::Push;
 
     gpu.launch("mis.init", n, [&st](Warp& w) { return misInit(w, st); });
     for (st.round = 1; st.round <= kMaxSweeps; ++st.round) {
         gpu.launch("mis.reset", n,
                    [&st](Warp& w) { return misReset(w, st); });
-        if (push)
-            gpu.launch("mis.prop.push", n,
-                       [&st](Warp& w) { return misPropPush(w, st); });
-        else
-            gpu.launch("mis.prop.pull", n,
-                       [&st](Warp& w) { return misPropPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "mis.prop", n, st, misPropPush,
+                              misPropPull);
         gpu.launch("mis.decide", n,
                    [&st](Warp& w) { return misDecide(w, st); });
-        if (push)
-            gpu.launch("mis.out.push", n,
-                       [&st](Warp& w) { return misOutPush(w, st); });
-        else
-            gpu.launch("mis.out.pull", n,
-                       [&st](Warp& w) { return misOutPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "mis.out", n, st, misOutPush,
+                              misOutPull);
         bool undecided = false;
         for (VertexId v = 0; v < n && !undecided; ++v)
             undecided = st.state[v] == kUndecided;

@@ -16,24 +16,19 @@ namespace gga {
 
 namespace {
 
-struct PrState
+struct PrState : GraphState
 {
     PrState(Gpu& gpu, const CsrGraph& graph)
-        : g(graph),
-          gb(gpu.mem(), graph),
+        : GraphState(gpu, graph),
           rank(gpu.mem(), graph.numVertices(), "pr.rank"),
           next(gpu.mem(), graph.numVertices(), "pr.next"),
-          contrib(gpu.mem(), graph.numVertices(), "pr.contrib"),
-          lb(gpu.params().lineBytes)
+          contrib(gpu.mem(), graph.numVertices(), "pr.contrib")
     {
     }
 
-    const CsrGraph& g;
-    GraphBuffers gb;
     DeviceBuffer<float> rank;
     DeviceBuffer<float> next;
     DeviceBuffer<float> contrib;
-    std::uint32_t lb;
 };
 
 constexpr double kDamping = 0.85;
@@ -78,30 +73,21 @@ prPush(Warp& w, PrState& st)
 {
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
+    const kutil::LaneTile tile(w, st);
     AddrSet rd;
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     kutil::addRange(rd, st.contrib, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
     AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                st.next[t] += st.contrib[v];
-                words.pushUnique(kutil::wordOf(st.next, t));
-            }
-        }
+        words.clear();
+        tile.forSlot(j, [&](auto, VertexId v, auto, VertexId t) {
+            st.next[t] += st.contrib[v];
+            words.pushUnique(kutil::wordOf(st.next, t));
+        });
         co_await w.atomic(words, /*needs_value=*/false);
     }
 }
@@ -111,38 +97,25 @@ prPull(Warp& w, PrState& st)
 {
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
+    const kutil::LaneTile tile(w, st);
     AddrSet rd;
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    float acc[32] = {};
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
+    float acc[kMaxWarpLanes] = {};
     AddrSet el, pl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        pl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(pl, st.contrib, s, st.lb);
-            }
-        }
+        pl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(pl, st.contrib, s, st.lb);
+        });
         // Blocking sparse remote reads: the defining pull cost.
         co_await w.load(pl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                acc[l] += st.contrib[s];
-            }
-        }
+        tile.forSlot(j, [&](std::uint32_t l, auto, auto, VertexId s) {
+            acc[l] += st.contrib[s];
+        });
         co_await w.compute(1);
     }
     for (std::uint32_t l = 0; l < lanes; ++l)
@@ -180,18 +153,12 @@ runPr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     Gpu gpu(params, cfg.coh, cfg.con);
     PrState st(gpu, g);
     const VertexId n = g.numVertices();
-    const bool push = cfg.prop == UpdateProp::Push;
 
     gpu.launch("pr.init", n, [&st](Warp& w) { return prInit(w, st); });
     for (std::uint32_t it = 0; it < kPrIterations; ++it) {
         gpu.launch("pr.prepare", n,
                    [&st](Warp& w) { return prPrepare(w, st); });
-        if (push)
-            gpu.launch("pr.push", n,
-                       [&st](Warp& w) { return prPush(w, st); });
-        else
-            gpu.launch("pr.pull", n,
-                       [&st](Warp& w) { return prPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "pr", n, st, prPush, prPull);
         gpu.launch("pr.finalize", n,
                    [&st](Warp& w) { return prFinalize(w, st); });
     }

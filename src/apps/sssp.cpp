@@ -17,22 +17,17 @@ namespace gga {
 
 namespace {
 
-struct SsspState
+struct SsspState : GraphState
 {
     SsspState(Gpu& gpu, const CsrGraph& graph)
-        : g(graph),
-          gb(gpu.mem(), graph),
+        : GraphState(gpu, graph),
           dist(gpu.mem(), graph.numVertices(), "sssp.dist"),
-          stamp(gpu.mem(), graph.numVertices(), "sssp.stamp"),
-          lb(gpu.params().lineBytes)
+          stamp(gpu.mem(), graph.numVertices(), "sssp.stamp")
     {
     }
 
-    const CsrGraph& g;
-    GraphBuffers gb;
     DeviceBuffer<std::uint32_t> dist;
     DeviceBuffer<std::uint32_t> stamp;
-    std::uint32_t lb;
     std::uint32_t iter = 0;
 };
 
@@ -73,13 +68,8 @@ ssspPush(Warp& w, SsspState& st)
     kutil::addRange(rd, st.stamp, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32] = {};
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.stamp[v0 + l] == iter;
-        any |= active[l];
-    }
-    if (!any)
+    kutil::LaneTile tile(w, st);
+    if (!tile.mask([&](VertexId v) { return st.stamp[v] == iter; }))
         co_return; // whole warp elided by the source predicate
 
     rd.clear();
@@ -87,44 +77,23 @@ ssspPush(Warp& w, SsspState& st)
     kutil::addRange(rd, st.dist, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
     const bool weighted = st.g.hasWeights();
     AddrSet el, words, stamped;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j, weighted);
+        co_await w.load(el);
         words.clear();
         stamped.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                kutil::addElem(el, st.gb.col, e, st.lb);
-                if (weighted)
-                    kutil::addElem(el, st.gb.weight, e, st.lb);
+        tile.forSlot(j, [&](auto, VertexId v, EdgeId e, VertexId t) {
+            const std::uint64_t nd =
+                static_cast<std::uint64_t>(st.dist[v]) + st.g.edgeWeight(e);
+            words.pushUnique(kutil::wordOf(st.dist, t));
+            if (nd < st.dist[t]) {
+                st.dist[t] = static_cast<std::uint32_t>(nd);
+                st.stamp[t] = iter + 1;
+                kutil::addElem(stamped, st.stamp, t, st.lb);
             }
-        }
-        co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                const VertexId t = st.g.edgeTarget(e);
-                const std::uint64_t nd =
-                    static_cast<std::uint64_t>(st.dist[v]) +
-                    st.g.edgeWeight(e);
-                words.pushUnique(kutil::wordOf(st.dist, t));
-                if (nd < st.dist[t]) {
-                    st.dist[t] = static_cast<std::uint32_t>(nd);
-                    st.stamp[t] = iter + 1;
-                    kutil::addElem(stamped, st.stamp, t, st.lb);
-                }
-            }
-        }
+        });
         // Unconditional sparse remote atomicMin — off the critical path.
         co_await w.atomic(words, /*needs_value=*/false);
         if (!stamped.empty())
@@ -144,63 +113,40 @@ ssspPull(Warp& w, SsspState& st)
     kutil::addRange(rd, st.dist, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
+    const kutil::LaneTile tile(w, st);
     const bool weighted = st.g.hasWeights();
-    std::uint64_t best[32];
+    std::uint64_t best[kMaxWarpLanes];
     for (std::uint32_t l = 0; l < lanes; ++l)
         best[l] = st.dist[v0 + l];
 
     AddrSet el, sl, dl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        dl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0, maxd = tile.maxDegree(); j < maxd; ++j) {
+        tile.gather(el, j);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.stamp, s, st.lb);
-            }
-        }
+        sl.clear();
+        tile.forSlot(j, [&](auto, auto, auto, VertexId s) {
+            kutil::addElem(sl, st.stamp, s, st.lb);
+        });
         // Sparse remote reads of the frontier stamps (blocking).
         co_await w.load(sl);
-        bool any_active = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                const VertexId s = st.g.edgeTarget(e);
-                if (st.stamp[s] == iter) {
-                    kutil::addElem(dl, st.dist, s, st.lb);
-                    if (weighted)
-                        kutil::addElem(dl, st.gb.weight, e, st.lb);
-                    any_active = true;
-                }
+        dl.clear();
+        tile.forSlot(j, [&](auto, auto, EdgeId e, VertexId s) {
+            if (st.stamp[s] == iter) {
+                kutil::addElem(dl, st.dist, s, st.lb);
+                if (weighted)
+                    kutil::addElem(dl, st.gb.weight, e, st.lb);
             }
-        }
-        if (any_active) {
-            co_await w.load(dl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (j < st.g.degree(v)) {
-                    const EdgeId e = st.g.edgeBegin(v) + j;
-                    const VertexId s = st.g.edgeTarget(e);
-                    if (st.stamp[s] == iter) {
-                        const std::uint64_t nd =
-                            static_cast<std::uint64_t>(st.dist[s]) +
-                            st.g.edgeWeight(e);
-                        best[l] = std::min(best[l], nd);
-                    }
-                }
-            }
-            co_await w.compute(1);
-        }
+        });
+        if (dl.empty())
+            continue;
+        co_await w.load(dl);
+        tile.forSlot(j, [&](std::uint32_t l, auto, EdgeId e, VertexId s) {
+            if (st.stamp[s] == iter)
+                best[l] = std::min(best[l],
+                                   static_cast<std::uint64_t>(st.dist[s]) +
+                                       st.g.edgeWeight(e));
+        });
+        co_await w.compute(1);
     }
 
     AddrSet wr;
@@ -224,18 +170,13 @@ runSssp(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     Gpu gpu(params, cfg.coh, cfg.con);
     SsspState st(gpu, g);
     const VertexId n = g.numVertices();
-    const bool push = cfg.prop == UpdateProp::Push;
 
     gpu.launch("sssp.init", n, [&st](Warp& w) { return ssspInit(w, st); });
     gpu.launch("sssp.seed", 1, [&st](Warp& w) { return ssspSeed(w, st); });
 
     for (st.iter = 1; st.iter <= kMaxSweeps; ++st.iter) {
-        if (push)
-            gpu.launch("sssp.push", n,
-                       [&st](Warp& w) { return ssspPush(w, st); });
-        else
-            gpu.launch("sssp.pull", n,
-                       [&st](Warp& w) { return ssspPull(w, st); });
+        kutil::launchDirected(gpu, cfg.prop, "sssp", n, st, ssspPush,
+                              ssspPull);
         bool frontier = false;
         for (VertexId v = 0; v < n && !frontier; ++v)
             frontier = st.stamp[v] == st.iter + 1;

@@ -42,12 +42,15 @@ SimParams::check() const
 {
     if (numSms < 1 || numSms > 15)
         return "numSms must fit the 4x4 mesh minus the CPU node";
-    if (!isPow2(warpSize))
-        return "warp size must be a power of two";
+    if (!isPow2(warpSize) || warpSize > kMaxWarpLanes)
+        return "warp size must be a power of two of at most 32 lanes";
     if (threadBlockSize < 1 || threadBlockSize % warpSize != 0)
         return "thread block size must be a warp multiple";
-    if (!isPow2(lineBytes) || lineBytes < 8)
-        return "line size must be a power of two of at least 8 bytes";
+    // The widest coalesced access, bcBwdPush's rowOff + sigma + delta
+    // ranges (33 x 4 B + 2 x 32 x 8 B), spans 41 lines of 16 bytes but
+    // 81 lines of 8 bytes, more than an AddrSet holds.
+    if (!isPow2(lineBytes) || lineBytes < 16)
+        return "line size must be a power of two of at least 16 bytes";
     if (l2Banks != 16)
         return "the 4x4 mesh hosts exactly 16 L2 banks";
     if (maxBlocksPerSm < 1)

@@ -18,6 +18,12 @@
 
 namespace gga {
 
+/**
+ * Widest warp the kernels support: their per-lane arrays and AddrSet's
+ * capacity are sized from it.
+ */
+inline constexpr std::uint32_t kMaxWarpLanes = 32;
+
 /** All tunable hardware parameters of the simulated CPU-GPU system. */
 struct SimParams
 {

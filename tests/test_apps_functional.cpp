@@ -4,11 +4,14 @@
  * small graph across the full configuration space, must produce results
  * matching the sequential CPU references (exactly for discrete outputs,
  * within tolerance for floating-point ones). MIS and CLR are checked at
- * seed 0 and at a nonzero seed.
+ * seed 0 and at a nonzero seed. A push, a pull and a CC configuration
+ * also run on 16-lane warps, so the kernels' lane tiles are exercised
+ * below their full width.
  */
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -40,26 +43,44 @@ smallGraph()
     return g;
 }
 
-RunOutcome
-simulate(AppId app, const std::string& cfg, std::uint64_t seed = 0)
+/** A configuration and the warp width it runs at. */
+struct Point
 {
-    Session session;
-    return session.run(
-        RunPlan{}.app(app).graph(smallGraph(), "small").config(cfg).seed(
-            seed));
+    const char* cfg;
+    std::uint32_t warpSize = 32;
+};
+
+void
+PrintTo(const Point& p, std::ostream* os)
+{
+    *os << p.cfg << '@' << p.warpSize;
 }
 
-class AllConfigs : public ::testing::TestWithParam<std::string>
+RunOutcome
+simulate(AppId app, const Point& p, std::uint64_t seed = 0)
+{
+    SimParams params;
+    params.warpSize = p.warpSize;
+    Session session;
+    return session.run(RunPlan{}
+                           .app(app)
+                           .graph(smallGraph(), "small")
+                           .config(p.cfg)
+                           .seed(seed)
+                           .params(params));
+}
+
+class AllConfigs : public ::testing::TestWithParam<Point>
 {
 };
 
 /** MIS and CLR hash their vertex priorities with the run's seed. */
 class SeededConfigs
-    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>>
+    : public ::testing::TestWithParam<std::tuple<Point, std::uint64_t>>
 {
 };
 
-class DynConfigs : public ::testing::TestWithParam<std::string>
+class DynConfigs : public ::testing::TestWithParam<Point>
 {
 };
 
@@ -93,8 +114,8 @@ TEST_P(SeededConfigs, MisIsValidAndConfigInvariant)
     EXPECT_TRUE(ref::validMis(smallGraph(), out.mis()->state));
 
     // The round structure is deterministic, so at one seed every
-    // configuration must produce the identical set.
-    const RunOutcome baseline = simulate(AppId::Mis, "TG0", seed);
+    // configuration and warp width must produce the identical set.
+    const RunOutcome baseline = simulate(AppId::Mis, {"TG0"}, seed);
     ASSERT_NE(baseline.mis(), nullptr);
     EXPECT_EQ(out.mis()->state, baseline.mis()->state);
 }
@@ -132,9 +153,13 @@ TEST_P(DynConfigs, CcMatchesUnionFind)
                                    ref::components(smallGraph())));
 }
 
-const auto kStaticConfigs =
-    ::testing::Values("TG0", "TG1", "TGR", "TD0", "TD1", "TDR", "SG0", "SG1",
-                      "SGR", "SD0", "SD1", "SDR");
+const auto kStaticConfigs = ::testing::Values(
+    Point{"TG0"}, Point{"TG1"}, Point{"TGR"}, Point{"TD0"}, Point{"TD1"},
+    Point{"TDR"}, Point{"SG0"}, Point{"SG1"}, Point{"SGR"}, Point{"SD0"},
+    Point{"SD1"}, Point{"SDR"});
+
+// One pull and one push configuration on 16-lane warps.
+const auto kNarrowWarps = ::testing::Values(Point{"TG0", 16}, Point{"SG1", 16});
 
 INSTANTIATE_TEST_SUITE_P(DesignSpace, AllConfigs, kStaticConfigs);
 
@@ -147,8 +172,18 @@ INSTANTIATE_TEST_SUITE_P(DesignSpace, SeededConfigs,
                                                 std::uint64_t{5})));
 
 INSTANTIATE_TEST_SUITE_P(DesignSpace, DynConfigs,
-                         ::testing::Values("DG0", "DG1", "DGR", "DD0", "DD1",
-                                           "DDR"));
+                         ::testing::Values(Point{"DG0"}, Point{"DG1"},
+                                           Point{"DGR"}, Point{"DD0"},
+                                           Point{"DD1"}, Point{"DDR"}));
+
+INSTANTIATE_TEST_SUITE_P(Lanes16, AllConfigs, kNarrowWarps);
+INSTANTIATE_TEST_SUITE_P(Lanes16, SeededConfigs,
+                         ::testing::Combine(kNarrowWarps,
+                                            ::testing::Values(
+                                                std::uint64_t{0},
+                                                std::uint64_t{5})));
+INSTANTIATE_TEST_SUITE_P(Lanes16, DynConfigs,
+                         ::testing::Values(Point{"DG0", 16}));
 
 } // namespace
 } // namespace gga

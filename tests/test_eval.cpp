@@ -707,13 +707,15 @@ TEST(UnitParams, UnusableOverridesAreErrorsNotCrashes)
     };
     // Zero divisors (these crashed with SIGFPE), the mesh's fixed bank
     // count (an abort), a value its u32 field cannot hold (silently
-    // truncated to 0), and a cache too small for one set.
+    // truncated to 0), a cache too small for one set, and warps or lines
+    // whose per-instruction address sets overflow the kernels' arrays.
     for (const char* bad :
          {"{\"dramChannels\": 0}", "{\"l1Assoc\": 0}", "{\"l2Assoc\": 0}",
           "{\"l2Banks\": 8}", "{\"l1Mshrs\": 0}",
           "{\"storeBufferEntries\": 0}", "{\"l1Mshrs\": 4294967296}",
           "{\"l1SizeKiB\": 0}", "{\"l1SizeKiB\": 4194304}",
-          "{\"lineBytes\": 48}", "{\"numSms\": 16}"})
+          "{\"lineBytes\": 48}", "{\"numSms\": 16}", "{\"warpSize\": 64}",
+          "{\"lineBytes\": 8}"})
         EXPECT_THROW(WorkUnit::fromJson(unit_with(bad)), EvalError) << bad;
 
     const auto message = [](const char* params) -> std::string {
