@@ -80,10 +80,9 @@ class GraphBuilder
     CsrGraph build(bool with_weights = false) const;
 
     /**
-     * The pre-PR-5 serial build path (pack pairs, std::sort, unique),
-     * kept verbatim as the in-tree measurement baseline and oracle for
-     * build() — the same role the binary-heap engine plays for the time
-     * wheel in bench/micro_substrate.
+     * The original serial build path (pack pairs, std::sort, unique),
+     * kept as the test oracle for build(): test_graph requires the two
+     * to produce byte-identical graphs at every thread count.
      */
     CsrGraph buildReferenceSort(bool with_weights = false) const;
 

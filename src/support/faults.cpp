@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "support/log.hpp"
+#include "support/parse_int.hpp"
 #include "support/rng.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -67,17 +68,13 @@ envDoneFlag()
 }
 
 std::uint64_t
-parseU64Strict(const std::string& text, const std::string& entry)
+countOrThrow(std::string_view text, const std::string& entry)
 {
-    if (text.empty() || text[0] == '-')
+    const std::optional<std::uint64_t> v = parseUnsigned<std::uint64_t>(text);
+    if (!v)
         throw std::invalid_argument("GGA_FAULTS: bad count in '" + entry +
                                     "'");
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        throw std::invalid_argument("GGA_FAULTS: bad count in '" + entry +
-                                    "'");
-    return static_cast<std::uint64_t>(v);
+    return *v;
 }
 
 Plan
@@ -101,7 +98,7 @@ parsePlan(const std::string& spec)
         const std::string site = entry.substr(0, eq);
         std::string value = entry.substr(eq + 1);
         if (site == "seed") {
-            plan.seed = parseU64Strict(value, entry);
+            plan.seed = countOrThrow(value, entry);
             continue;
         }
         Trigger t;
@@ -114,13 +111,13 @@ parsePlan(const std::string& spec)
             if (t.openEnded)
                 throw std::invalid_argument(
                     "GGA_FAULTS: '" + entry + "' mixes N+ and N/M");
-            t.at = parseU64Strict(value.substr(0, slash), entry);
-            t.every = parseU64Strict(value.substr(slash + 1), entry);
+            t.at = countOrThrow(value.substr(0, slash), entry);
+            t.every = countOrThrow(value.substr(slash + 1), entry);
             if (t.every == 0)
                 throw std::invalid_argument(
                     "GGA_FAULTS: '" + entry + "' wants a period >= 1");
         } else {
-            t.at = parseU64Strict(value, entry);
+            t.at = countOrThrow(value, entry);
         }
         if (t.at == 0)
             throw std::invalid_argument(

@@ -91,6 +91,12 @@ TEST(Faults, MalformedSpecsThrow)
     EXPECT_THROW(faults::configure("a=1,a=2"), std::invalid_argument);
     EXPECT_THROW(faults::configure("=3"), std::invalid_argument);
     EXPECT_THROW(faults::configure("seed="), std::invalid_argument);
+    // Counts are strict: no sign, no space, no 64-bit wrap-around.
+    EXPECT_THROW(faults::configure("a=+1"), std::invalid_argument);
+    EXPECT_THROW(faults::configure("a= 1"), std::invalid_argument);
+    EXPECT_THROW(faults::configure("a=1/+2"), std::invalid_argument);
+    EXPECT_THROW(faults::configure("seed=18446744073709551616"),
+                 std::invalid_argument);
     // A failed configure leaves the previous (empty) plan armed.
     EXPECT_FALSE(faults::fire("a"));
 }

@@ -369,6 +369,48 @@ TEST(ServeLocal, SinglePlanJobAndInvalidPlanFails)
               std::string::npos);
 }
 
+TEST(ServeLocal, SignedOrPaddedCursorsAre400OnARealJob)
+{
+    Service svc(quickOptions());
+    svc.start();
+    const HttpResponse sub = svc.handle(
+        request("POST", "/v1/jobs", {},
+                "{\"plan\": " +
+                    unitFor(AppId::Mis, "SG1").toJson().dump() + "}"));
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const std::string id = parseBody(sub).at("id").asString();
+    ASSERT_EQ(awaitTerminal(svc, id), "done");
+    const std::string results = "/v1/jobs/" + id + "/results";
+    ASSERT_EQ(parseBody(svc.handle(request("GET", results, {{"after", "0"}})))
+                  .at("rows")
+                  .asArray()
+                  .size(),
+              1u);
+
+    // "-1" must not wrap to 2^64-1: as a cursor that is an empty, done
+    // page that tells a client to stop before it has read any row.
+    for (const char* bad : {"-1", "+0", " 0", "0x", ""}) {
+        SCOPED_TRACE(std::string("value '") + bad + "'");
+        EXPECT_EQ(svc.handle(request("GET", results, {{"after", bad}}))
+                      .status,
+                  400);
+        EXPECT_EQ(svc.handle(request("GET", "/v1/jobs/" + id,
+                                     {{"wait_ms", bad}}))
+                      .status,
+                  400);
+        EXPECT_EQ(svc.handle(request("GET", "/v1/jobs/" + id,
+                                     {{"since", bad}}))
+                      .status,
+                  400);
+    }
+    // The same through the socket, where the cursor is percent-decoded
+    // before it is parsed.
+    EXPECT_EQ(httpRequest(svc.port(), "GET", results + "?after=%200").status,
+              400);
+    EXPECT_EQ(httpRequest(svc.port(), "GET", results + "?after=-1").status,
+              400);
+}
+
 // --- remote orchestration ------------------------------------------------
 
 /** Register a worker through the wire layer; returns its id. */

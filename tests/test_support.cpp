@@ -2,9 +2,12 @@
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
  * statistics helpers, table rendering, inline function/vector, and the
- * hot-path containers (FlatMap, ObjectPool, RingBuffer).
+ * hot-path containers (FlatMap, ObjectPool, RingBuffer), and the strict
+ * unsigned parser.
  */
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "support/inline_function.hpp"
 #include "support/inline_vec.hpp"
 #include "support/object_pool.hpp"
+#include "support/parse_int.hpp"
 #include "support/ring_buffer.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -419,6 +423,33 @@ TEST(InlineVec, PushUniqueAndOverflowGuards)
     EXPECT_FALSE(v.contains(3));
     v.clear();
     EXPECT_TRUE(v.empty());
+}
+
+TEST(ParseUnsigned, RejectsSignsSpacesTrailersAndOverflow)
+{
+    for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "-0"}) {
+        SCOPED_TRACE(std::string("text '") + bad + "'");
+        EXPECT_FALSE(parseUnsigned<std::uint64_t>(bad));
+        EXPECT_FALSE(parseUnsigned<std::uint16_t>(bad));
+    }
+    // Range is the destination type's: a port of 65536 must not wrap to 0.
+    EXPECT_FALSE(parseUnsigned<std::uint16_t>("65536"));
+    EXPECT_FALSE(parseUnsigned<std::uint16_t>("70000"));
+    EXPECT_FALSE(parseUnsigned<std::uint32_t>("4294967296"));
+    EXPECT_FALSE(parseUnsigned<std::uint64_t>("18446744073709551616"));
+}
+
+TEST(ParseUnsigned, AcceptsEachTypesFullRange)
+{
+    EXPECT_EQ(parseUnsigned<std::uint16_t>("0"), 0u);
+    EXPECT_EQ(parseUnsigned<std::uint16_t>("007"), 7u);
+    EXPECT_EQ(parseUnsigned<std::uint16_t>("65535"),
+              std::numeric_limits<std::uint16_t>::max());
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967295"),
+              std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(parseUnsigned<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseUnsigned<std::size_t>("42"), 42u);
 }
 
 } // namespace
